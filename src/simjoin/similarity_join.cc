@@ -136,23 +136,6 @@ bool IsJaccardMetric(const ValueSimilarity& simv, int q) {
   return name == expect || name == "hybrid(" + expect + ")";
 }
 
-/// Pre-kernel Jaccard verification, kept as the SetEncodedKernels(false)
-/// A/B path.
-double JaccardOfIds(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
-  size_t i = 0, j = 0, inter = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++inter, ++i, ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  size_t uni = a.size() + b.size() - inter;
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 /// How a join verifies the candidates the filters let through.
 struct VerifyPlan {
   /// Kernel-eligible metric: score encoded token sets directly
@@ -162,9 +145,6 @@ struct VerifyPlan {
   /// Positional/suffix filters apply (exact threshold: q-gram Jaccard
   /// with kernels on).
   bool exact_filters = false;
-  /// Kernels off but the metric is exact Jaccard: verify with the
-  /// pre-kernel two-pointer merge (the A/B baseline path).
-  bool legacy_jaccard_ids = false;
   /// Metric-matched PairSimCache for the fallback string path, or null.
   PairSimCache* pair_cache = nullptr;
 };
@@ -207,16 +187,13 @@ int PositionalSuffixFilter(const std::vector<uint32_t>& x, size_t px,
 VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q,
                           bool encoded_kernels, PairSimCache* cache) {
   VerifyPlan plan;
-  const bool exact_jaccard = IsJaccardMetric(simv, q);
   SetSimKind kind;
   if (encoded_kernels && GramMetricKind(simv.Name(), q, &kind)) {
     plan.use_kernel = true;
     plan.kind = kind;
   }
-  plan.exact_filters = exact_jaccard && encoded_kernels;
-  plan.legacy_jaccard_ids = exact_jaccard && !plan.use_kernel;
-  plan.pair_cache =
-      (plan.use_kernel || plan.legacy_jaccard_ids) ? nullptr : cache;
+  plan.exact_filters = encoded_kernels && IsJaccardMetric(simv, q);
+  plan.pair_cache = plan.use_kernel ? nullptr : cache;
   return plan;
 }
 
@@ -229,7 +206,6 @@ double VerifyStringPair(const VerifyPlan& plan, const ValueSimilarity& simv,
                         const std::vector<uint32_t>& y_ids, const Value& va,
                         const Value& vb) {
   if (plan.use_kernel) return SetSimilarityBounded(plan.kind, x_ids, y_ids, xi);
-  if (plan.legacy_jaccard_ids) return JaccardOfIds(x_ids, y_ids);
   if (plan.pair_cache != nullptr) {
     return plan.pair_cache->GetOrCompute(
         va.ToString(), vb.ToString(), [&] { return simv.Compute(va, vb); });
@@ -237,17 +213,45 @@ double VerifyStringPair(const VerifyPlan& plan, const ValueSimilarity& simv,
   return simv.Compute(va, vb);
 }
 
+/// True when `simv` scores two numbers by value, so numbers take the
+/// numeric sweep instead of the token path.
+bool MetricHandlesNumbers(const ValueSimilarity& simv) {
+  const std::string name = simv.Name();
+  return StartsWith(name, "hybrid(") || name == "numeric";
+}
 
-/// How the numeric sweep bounds its search window; derived from the
-/// metric name so the filter stays exact for both built-in numeric
-/// semantics (relative difference and absolute tolerance).
+/// The numeric sweep's search window, derived from the metric name so
+/// the filter stays exact for both built-in numeric semantics: relative
+/// difference, sim >= xi iff |y - x| <= (1 - xi) * max(|x|, |y|), and
+/// absolute tolerance, |y - x| <= (1 - xi) * tol. The window is a
+/// pruning device only (the metric makes the final call), so it is
+/// epsilon-relaxed: computing 1 - xi in floating point could otherwise
+/// exclude exact-boundary pairs (sim == xi).
 struct NumericWindow {
-  bool absolute = false;  // true: |gap| <= (1 - xi) * tol.
+  bool absolute = false;
   double tol = 0.0;
+  double slack = 0.0;  // 1 - xi.
+
+  bool Contains(double x, double y) const {
+    const double gap = std::fabs(y - x);
+    if (absolute) return gap <= slack * tol + 1e-9;
+    const double denom = std::max(std::fabs(x), std::fabs(y));
+    return denom == 0.0 ? gap == 0.0
+                        : gap <= slack * denom + 1e-9 * std::max(1.0, denom);
+  }
+
+  /// Once y leaves the window moving away from x in direction `dir`
+  /// (+1 up, -1 down), every further y is outside too: always for the
+  /// absolute window, and for the relative one once y has crossed zero
+  /// in that direction (|y| then grows with the gap).
+  bool LeftForGood(double y, int dir) const {
+    return absolute || (dir > 0 ? y > 0 : y < 0);
+  }
 };
 
-NumericWindow NumericWindowFor(const ValueSimilarity& simv) {
+NumericWindow NumericWindowFor(const ValueSimilarity& simv, double xi) {
   NumericWindow w;
+  w.slack = 1.0 - xi;
   std::string name = simv.Name();
   size_t pos = name.find("numeric_tol");
   if (pos != std::string::npos) {
@@ -264,6 +268,104 @@ size_t PrefixLen(size_t len, double filter_xi) {
   size_t prefix = len - (keep > 0 ? keep : 1) + 1;
   return std::min(prefix, len);
 }
+
+/// One encoded string value: its sorted rare-first token ids.
+struct TokenSet {
+  const LabeledValue* value;
+  std::vector<uint32_t> ids;
+};
+
+/// One posting entry: the indexed set and the token's position in it,
+/// which the positional filter reasons about at probe time.
+struct Posting {
+  size_t set;
+  size_t pos;
+};
+
+/// The join's token -> posting-list table. The ordered backend keys the
+/// lists in an unordered_map; the flat backend keeps them in a dense
+/// slab reached through a FlatTable, so each probe's lookups batch
+/// through the prefetch pipeline. List contents, their order, and shed
+/// decisions are identical either way.
+class PostingTable {
+ public:
+  using List = std::vector<Posting>;
+
+  /// Per-worker scratch for Gather's batched flat lookup.
+  struct Scratch {
+    std::vector<uint64_t> keys;
+    std::vector<const uint64_t*> slots;
+  };
+
+  PostingTable(IndexBackend backend, size_t pipeline_depth, size_t max_posting)
+      : flat_(backend == IndexBackend::kFlat),
+        max_posting_(max_posting),
+        slot_of_(0, pipeline_depth) {}
+
+  /// Appends (set, pos) to the list of each token ids[pos], pos < len.
+  /// A list at the posting ceiling drops the entry and counts it shed.
+  void Add(const std::vector<uint32_t>& ids, size_t len, size_t set) {
+    if (flat_) {
+      keys_.assign(ids.begin(), ids.begin() + len);
+      slots_.resize(len);
+      slot_of_.FindOrInsertBatch(keys_, kNoSlot, slots_);
+    }
+    for (size_t pos = 0; pos < len; ++pos) {
+      List* list;
+      if (flat_) {
+        uint64_t* slot = slots_[pos];
+        if (*slot == kNoSlot) {
+          *slot = store_.size();
+          store_.emplace_back();
+        }
+        list = &store_[*slot];
+      } else {
+        list = &lists_[ids[pos]];
+      }
+      if (max_posting_ > 0 && list->size() >= max_posting_) {
+        ++shed_;
+        continue;
+      }
+      list->push_back({set, pos});
+    }
+  }
+
+  /// Sets (*lists)[k] to the list of token ids[k], k < prefix, or null
+  /// when the token has none. Safe to call concurrently once built.
+  void Gather(const std::vector<uint32_t>& ids, size_t prefix,
+              Scratch* scratch, std::vector<const List*>* lists) const {
+    lists->clear();
+    if (flat_) {
+      scratch->keys.assign(ids.begin(), ids.begin() + prefix);
+      scratch->slots.resize(prefix);
+      slot_of_.FindBatch(scratch->keys, scratch->slots);
+      for (const uint64_t* slot : scratch->slots) {
+        lists->push_back(slot != nullptr ? &store_[*slot] : nullptr);
+      }
+      return;
+    }
+    for (size_t k = 0; k < prefix; ++k) {
+      auto it = lists_.find(ids[k]);
+      lists->push_back(it == lists_.end() ? nullptr : &it->second);
+    }
+  }
+
+  size_t shed() const { return shed_; }
+  uint64_t batched_probes() const { return slot_of_.batched_probes(); }
+  uint64_t rehashes() const { return slot_of_.rehashes(); }
+
+ private:
+  static constexpr uint64_t kNoSlot = ~0ull;
+
+  const bool flat_;
+  const size_t max_posting_;
+  size_t shed_ = 0;
+  std::unordered_map<uint32_t, List> lists_;  // Ordered backend.
+  FlatTable slot_of_;                         // Flat: token id -> slot.
+  std::vector<List> store_;                   // Flat: the lists.
+  std::vector<uint64_t> keys_;                // Add's batch scratch.
+  std::vector<uint64_t*> slots_;
+};
 
 }  // namespace
 
@@ -371,8 +473,27 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
                               const RunGuard& guard,
                               std::vector<ValuePair>* out,
                               JoinReport* report) const {
+  return Probe(nullptr, values, simv, xi, guard, out, report);
+}
+
+Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
+                                const std::vector<LabeledValue>& base,
+                                const ValueSimilarity& simv, double xi,
+                                const RunGuard& guard,
+                                std::vector<ValuePair>* out,
+                                JoinReport* report) const {
+  return Probe(&probe, base, simv, xi, guard, out, report);
+}
+
+Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
+                               const std::vector<LabeledValue>& base,
+                               const ValueSimilarity& simv, double xi,
+                               const RunGuard& guard,
+                               std::vector<ValuePair>* out,
+                               JoinReport* report) const {
   HERA_FAILPOINT("simjoin.join");
   out->clear();
+  const bool self = probe == nullptr;
   ThreadPool* pool = executor();
   const size_t nworkers = (pool && pool->size() > 1) ? pool->size() : 1;
   // Per-phase chunk spans are rebased onto this join-entry clock so the
@@ -381,39 +502,42 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
   const bool rec =
       collect_worker_spans() && report != nullptr && nworkers > 1;
   std::atomic<bool> stop{false};
-  const size_t max_posting = guard.max_posting_list();
-  size_t shed_posting = 0;
   JoinCounters totals;
 
-  // ---- Partition: numeric values are swept, everything else gets the
-  // token-based path over its canonical string rendering.
-  std::vector<size_t> string_idx, numeric_idx;
-  const bool metric_handles_numbers =
-      StartsWith(simv.Name(), "hybrid(") || simv.Name() == "numeric";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i].value.is_null()) continue;
-    if (values[i].value.is_number() && metric_handles_numbers) {
-      numeric_idx.push_back(i);
-    } else {
-      string_idx.push_back(i);
+  // Partition: numbers go to the sweep when the metric scores them by
+  // value; every other non-null value takes the token path over its
+  // canonical string rendering. The token path holds the base's values
+  // first, then the probe's.
+  const bool sweep_numbers = MetricHandlesNumbers(simv);
+  std::vector<const LabeledValue*> base_nums, probe_nums, texts;
+  auto partition = [&](const std::vector<LabeledValue>& values,
+                       std::vector<const LabeledValue*>* nums) {
+    for (const LabeledValue& lv : values) {
+      if (lv.value.is_null()) continue;
+      (sweep_numbers && lv.value.is_number() ? *nums : texts).push_back(&lv);
     }
-  }
+  };
+  partition(base, &base_nums);
+  const size_t base_texts = texts.size();
+  if (!self) partition(*probe, &probe_nums);
 
-  // ---- Numeric sweep: sort by value; sim >= xi iff
-  // (y - x) <= (1 - xi) * max(|x|, |y|), which for y > 0 fails
-  // monotonically as y grows, allowing early break. Each chunk of
-  // sorted probe positions scans forward independently (read-only), so
-  // the sweep parallelizes without coordination.
-  std::sort(numeric_idx.begin(), numeric_idx.end(), [&](size_t a, size_t b) {
-    return values[a].value.AsNumber() < values[b].value.AsNumber();
-  });
-  // The window is a pruning device only (the metric makes the final
-  // call), so it is epsilon-relaxed: computing t = 1 - xi in floating
-  // point can otherwise exclude exact-boundary pairs (sim == xi).
-  const double t = 1.0 - xi;
-  const NumericWindow window = NumericWindowFor(simv);
+  // ---- Numeric sweep: the base's numbers sorted by value; each probe
+  // scans outward from its own position while the window can hold. The
+  // self-join probes the sorted list itself and scans only upward from
+  // the next position, so each pair is seen once. Chunks of probes scan
+  // the read-only sorted list independently.
+  auto below = [](const LabeledValue* lv, double v) {
+    return lv->value.AsNumber() < v;
+  };
+  std::sort(base_nums.begin(), base_nums.end(),
+            [&](const LabeledValue* a, const LabeledValue* b) {
+              return below(a, b->value.AsNumber());
+            });
+  const std::vector<const LabeledValue*>& num_probes =
+      self ? base_nums : probe_nums;
+  const NumericWindow window = NumericWindowFor(simv, xi);
   {
-    const size_t n = numeric_idx.size();
+    const size_t n = num_probes.size();
     const size_t grain = DefaultGrain(n, nworkers);
     std::vector<ChunkOut> chunks(NumChunks(n, grain));
     const double phase_t0 = join_timer.ElapsedMicros();
@@ -424,36 +548,46 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
           GuardTicker ticker(guard);
           for (size_t p = begin;
                p < end && !stop.load(std::memory_order_relaxed); ++p) {
-            double x = values[numeric_idx[p]].value.AsNumber();
-            for (size_t r = p + 1; r < n; ++r) {
+            const LabeledValue& pv = *num_probes[p];
+            const double x = pv.value.AsNumber();
+            const size_t start =
+                self ? p + 1
+                     : static_cast<size_t>(
+                           std::lower_bound(base_nums.begin(), base_nums.end(),
+                                            x, below) -
+                           base_nums.begin());
+            // Visits base_nums[k]; false when it lies outside the window.
+            auto visit = [&](size_t k) {
+              const LabeledValue& bv = *base_nums[k];
+              if (!window.Contains(x, bv.value.AsNumber())) return false;
+              if (pv.label.rid != bv.label.rid) {
+                ++co.counters.candidates;
+                ++co.counters.verified;
+                double s = simv.Compute(pv.value, bv.value);
+                if (s >= xi) co.pairs.push_back({pv.label, bv.label, s});
+              }
+              return true;
+            };
+            for (size_t k = start; k < base_nums.size(); ++k) {
               if (ticker.Tick()) {
                 stop.store(true, std::memory_order_relaxed);
                 break;
               }
-              double y = values[numeric_idx[r]].value.AsNumber();
-              double gap = y - x;
-              double denom = std::max(std::fabs(x), std::fabs(y));
-              bool within;
-              if (window.absolute) {
-                within = gap <= t * window.tol + 1e-9;
-              } else {
-                within = denom == 0.0
-                             ? gap == 0.0
-                             : gap <= t * denom + 1e-9 * std::max(1.0, denom);
+              if (!visit(k) &&
+                  window.LeftForGood(base_nums[k]->value.AsNumber(), +1)) {
+                break;
               }
-              if (!within) {
-                // Relative window: failure is monotone only once y > 0.
-                // Absolute window: failure is monotone unconditionally.
-                if (window.absolute || y > 0) break;
-                continue;
+            }
+            if (self) continue;
+            for (size_t k = start; k-- > 0;) {
+              if (ticker.Tick()) {
+                stop.store(true, std::memory_order_relaxed);
+                break;
               }
-              const LabeledValue& va = values[numeric_idx[p]];
-              const LabeledValue& vb = values[numeric_idx[r]];
-              if (va.label.rid == vb.label.rid) continue;
-              ++co.counters.candidates;
-              ++co.counters.verified;
-              double s = simv.Compute(va.value, vb.value);
-              if (s >= xi) co.pairs.push_back({va.label, vb.label, s});
+              if (!visit(k) &&
+                  window.LeftForGood(base_nums[k]->value.AsNumber(), -1)) {
+                break;
+              }
             }
           }
         },
@@ -462,7 +596,7 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
     AccumulateBusy(stats, report, "join.numeric", phase_t0);
   }
 
-  // ---- String path: AllPairs with length + prefix filters, plus
+  // ---- Token path: AllPairs with length + prefix filters, plus
   // positional/suffix filters when the threshold is exact.
   const bool exact_jaccard = IsJaccardMetric(simv, q_);
   const VerifyPlan plan =
@@ -471,144 +605,99 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
   // at a slackened threshold so near-threshold true pairs survive.
   const double filter_xi = exact_jaccard ? xi : xi * filter_slack_;
 
-  // Phase 1 (parallel): normalization + gram extraction, the
-  // embarrassingly parallel part of tokenization. Grams come from the
-  // shared TokenCache when one is installed (rounds >= 2 of an
-  // incremental run hit it almost every time), else are extracted
-  // fresh. Workers write disjoint slots.
+  // Tokenize (parallel): normalization + gram extraction, the
+  // embarrassingly parallel part. Grams come from the shared TokenCache
+  // when one is installed (rounds >= 2 of an incremental run hit it
+  // almost every time), else are extracted fresh. Workers write
+  // disjoint slots.
   TokenCache* cache = (cache_ && cache_->q() == q_) ? cache_.get() : nullptr;
-  std::vector<std::string> normalized(values.size());
   std::vector<TokenCache::GramsPtr> shared_grams;
   std::vector<std::vector<std::string>> owned_grams;
   if (cache) {
-    shared_grams.resize(values.size());
+    shared_grams.resize(texts.size());
   } else {
-    owned_grams.resize(values.size());
+    owned_grams.resize(texts.size());
   }
   {
-    const size_t n = string_idx.size();
+    const size_t n = texts.size();
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, n, DefaultGrain(n, nworkers),
         [&](size_t /*chunk*/, size_t begin, size_t end, size_t /*worker*/) {
           for (size_t k = begin; k < end; ++k) {
-            size_t i = string_idx[k];
-            normalized[i] = Normalize(values[i].value.ToString());
+            std::string normalized = Normalize(texts[k]->value.ToString());
             if (cache) {
-              shared_grams[i] = cache->Grams(normalized[i]);
+              shared_grams[k] = cache->Grams(normalized);
             } else {
-              owned_grams[i] = QgramSet(normalized[i], q_);
+              owned_grams[k] = QgramSet(normalized, q_);
             }
           }
         },
         rec);
     AccumulateBusy(stats, report, "join.tokenize", phase_t0);
   }
-  auto grams_of = [&](size_t i) -> const std::vector<std::string>& {
-    return cache ? *shared_grams[i] : owned_grams[i];
+  auto grams_of = [&](size_t k) -> const std::vector<std::string>& {
+    return cache ? *shared_grams[k] : owned_grams[k];
   };
 
-  // Phase 2 (serial): dictionary build + encoding both mutate the
-  // dictionary, so they stay on the controller thread.
+  // Dictionary build + encoding (serial): both mutate the dictionary.
+  // Ids follow ascending global gram frequency, so they do not depend
+  // on the order grams are added in.
   QgramDictionary dict(q_, backend_, pipeline_depth_);
-  for (size_t i : string_idx) dict.AddGrams(grams_of(i));
+  for (size_t k = 0; k < texts.size(); ++k) dict.AddGrams(grams_of(k));
   dict.Freeze();
-
-  struct Encoded {
-    size_t idx;                 // Position in `values`.
-    std::vector<uint32_t> ids;  // Sorted rare-first token ids.
-  };
-  std::vector<Encoded> sets;
-  sets.reserve(string_idx.size());
-  for (size_t i : string_idx) {
-    std::vector<uint32_t> ids = dict.EncodeGrams(grams_of(i));
+  std::vector<TokenSet> base_sets, probe_sets;
+  for (size_t k = 0; k < texts.size(); ++k) {
+    std::vector<uint32_t> ids = dict.EncodeGrams(grams_of(k));
     if (ids.empty()) continue;  // Nothing to match on.
-    sets.push_back({i, std::move(ids)});
+    (k < base_texts ? base_sets : probe_sets)
+        .push_back({texts[k], std::move(ids)});
   }
-  std::sort(sets.begin(), sets.end(), [](const Encoded& a, const Encoded& b) {
-    return a.ids.size() < b.ids.size();
-  });
+  shared_grams.clear();
+  owned_grams.clear();
+  // The self-join probes its own sets in ascending size order.
+  if (self) {
+    std::sort(base_sets.begin(), base_sets.end(),
+              [](const TokenSet& a, const TokenSet& b) {
+                return a.ids.size() < b.ids.size();
+              });
+  }
+  const std::vector<TokenSet>& probes = self ? base_sets : probe_sets;
 
-  // Phase 3 (serial): full posting lists, built in ascending set
-  // order. The posting ceiling is applied in that same order, so each
-  // list's contents are exactly what the serial incremental index held
-  // — and because entries are ascending, a probe that stops scanning
-  // at its own position (cj >= si below) sees exactly the lists as
-  // they stood when the serial loop reached it.
-  // Each entry carries the token's position inside its set, which is
-  // what the positional filter reasons about at probe time.
-  struct Posting {
-    size_t si;   // Index into `sets`.
-    size_t pos;  // Prefix position of the token within sets[si].ids.
-  };
-  // The posting map is backend-selected: the ordered path keys lists
-  // directly in an unordered_map; the flat path keeps lists in a dense
-  // slab and maps token id -> slab slot through a FlatTable, so probes
-  // can batch through the prefetch pipeline. Build order, shed
-  // decisions, and each list's contents are identical either way.
-  const bool flat = backend_ == IndexBackend::kFlat;
-  constexpr uint64_t kNoSlot = ~0ull;
-  std::vector<size_t> prefix_len(sets.size());
-  std::unordered_map<uint32_t, std::vector<Posting>> postings;
-  FlatTable posting_of(0, pipeline_depth_);  // token id -> slab slot.
-  std::vector<std::vector<Posting>> posting_store;
-  {
-    std::vector<uint64_t> key_buf;
-    std::vector<uint64_t*> slot_buf;
-    for (size_t si = 0; si < sets.size(); ++si) {
-      prefix_len[si] = PrefixLen(sets[si].ids.size(), filter_xi);
-      if (flat) {
-        key_buf.assign(sets[si].ids.begin(),
-                       sets[si].ids.begin() + prefix_len[si]);
-        slot_buf.resize(key_buf.size());
-        posting_of.FindOrInsertBatch(key_buf, kNoSlot, slot_buf);
-        for (size_t pi = 0; pi < prefix_len[si]; ++pi) {
-          uint64_t* slot = slot_buf[pi];
-          if (*slot == kNoSlot) {
-            *slot = posting_store.size();
-            posting_store.emplace_back();
-          }
-          std::vector<Posting>& list = posting_store[*slot];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({si, pi});
-        }
-      } else {
-        for (size_t pi = 0; pi < prefix_len[si]; ++pi) {
-          std::vector<Posting>& list = postings[sets[si].ids[pi]];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({si, pi});
-        }
-      }
-    }
+  // Posting build (serial), in base set order; the posting ceiling is
+  // applied in that same order. The self-join indexes each set's
+  // prefix: since its lists are ascending, a probe that stops scanning
+  // at its own position (cj >= pi below) sees exactly the lists as they
+  // stood when a serial build-while-probing loop reached it. Probing a
+  // base indexes every base token instead, since a probe may be
+  // shorter than the base set it matches.
+  PostingTable postings(backend_, pipeline_depth_, guard.max_posting_list());
+  for (size_t si = 0; si < base_sets.size(); ++si) {
+    const std::vector<uint32_t>& ids = base_sets[si].ids;
+    postings.Add(ids, self ? PrefixLen(ids.size(), filter_xi) : ids.size(),
+                 si);
   }
 
-  // Phase 4 (parallel): probing. Candidates for set si are earlier
-  // (shorter-or-equal) sets sharing a prefix token and passing the
-  // length filter |y| >= filter_xi * |x|. Dedup markers, candidate
+  // Probe (parallel). Candidates for probe pi are base sets sharing a
+  // prefix token with it and passing the length filter: one-sided
+  // (|y| >= filter_xi * |x|) for the self-join, whose earlier sets are
+  // never longer, two-sided against a base. Dedup markers, candidate
   // buffers, and list/key scratch are per-worker and reused across
   // chunks; marker values are probe indices, which are globally
-  // unique, so no resets are needed. Each record gathers its posting
-  // lists first (one batched flat probe or one map lookup per prefix
-  // token), which sizes the candidate buffer from the posting lengths
-  // and lets the flat path prefetch the list heads before the scan.
-  // The guard is hoisted to a per-record stride (weighted by the
-  // record's work, so the check cadence is unchanged).
+  // unique, so no resets are needed. Each probe gathers its posting
+  // lists first, which sizes the candidate buffer from the posting
+  // lengths and lets the flat path prefetch the list heads before the
+  // scan. The guard is hoisted to a per-probe stride, weighted by the
+  // probe's work so the check cadence is unchanged.
   {
-    const size_t n = sets.size();
+    const size_t n = probes.size();
     const size_t grain = DefaultGrain(n, nworkers);
     std::vector<ChunkOut> chunks(NumChunks(n, grain));
-    std::vector<std::vector<size_t>> markers(nworkers,
-                                             std::vector<size_t>(n, SIZE_MAX));
+    std::vector<std::vector<size_t>> markers(
+        nworkers, std::vector<size_t>(base_sets.size(), SIZE_MAX));
     std::vector<std::vector<size_t>> cand_bufs(nworkers);
-    std::vector<std::vector<const std::vector<Posting>*>> list_bufs(nworkers);
-    std::vector<std::vector<uint64_t>> key_bufs(nworkers);
-    std::vector<std::vector<const uint64_t*>> slot_bufs(nworkers);
+    std::vector<std::vector<const PostingTable::List*>> list_bufs(nworkers);
+    std::vector<PostingTable::Scratch> scratch(nworkers);
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, n, grain,
@@ -616,65 +705,56 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
           ChunkOut& co = chunks[chunk];
           std::vector<size_t>& candidate_of = markers[worker];
           std::vector<size_t>& candidates = cand_bufs[worker];
-          std::vector<const std::vector<Posting>*>& lists = list_bufs[worker];
+          std::vector<const PostingTable::List*>& lists = list_bufs[worker];
           GuardTicker ticker(guard);
-          for (size_t si = begin;
-               si < end && !stop.load(std::memory_order_relaxed); ++si) {
-            const Encoded& x = sets[si];
-            const size_t prefix = prefix_len[si];
+          for (size_t pi = begin;
+               pi < end && !stop.load(std::memory_order_relaxed); ++pi) {
+            const TokenSet& x = probes[pi];
+            const size_t len_x = x.ids.size();
+            const size_t prefix = PrefixLen(len_x, filter_xi);
             if (ticker.Tick(1 + prefix)) {
               stop.store(true, std::memory_order_relaxed);
               break;
             }
-            const double min_len =
-                filter_xi * static_cast<double>(x.ids.size());
-            lists.clear();
-            if (flat) {
-              std::vector<uint64_t>& keys = key_bufs[worker];
-              std::vector<const uint64_t*>& slots = slot_bufs[worker];
-              keys.assign(x.ids.begin(), x.ids.begin() + prefix);
-              slots.resize(prefix);
-              posting_of.FindBatch(keys, slots);
-              for (size_t pi = 0; pi < prefix; ++pi) {
-                lists.push_back(slots[pi] != nullptr
-                                    ? &posting_store[*slots[pi]]
-                                    : nullptr);
-              }
-            } else {
-              for (size_t pi = 0; pi < prefix; ++pi) {
-                auto it = postings.find(x.ids[pi]);
-                lists.push_back(it == postings.end() ? nullptr : &it->second);
-              }
-            }
+            const double min_len = filter_xi * static_cast<double>(len_x);
+            const double max_len =
+                (self || filter_xi <= 0.0)
+                    ? std::numeric_limits<double>::infinity()
+                    : static_cast<double>(len_x) / filter_xi;
+            postings.Gather(x.ids, prefix, &scratch[worker], &lists);
             size_t expected = 0;
-            for (const std::vector<Posting>* list : lists) {
+            for (const PostingTable::List* list : lists) {
               if (list == nullptr) continue;
               expected += list->size();
               HERA_PREFETCH_READ(list->data());
             }
             candidates.clear();
-            candidates.reserve(std::min(expected, si));
-            for (size_t pi = 0; pi < prefix; ++pi) {
-              const std::vector<Posting>* list = lists[pi];
+            candidates.reserve(
+                std::min(expected, self ? pi : base_sets.size()));
+            for (size_t k = 0; k < prefix; ++k) {
+              const PostingTable::List* list = lists[k];
               if (list == nullptr) continue;
               for (const Posting& e : *list) {
-                const size_t cj = e.si;
-                if (cj >= si) break;  // Ascending: the rest joined later.
-                if (candidate_of[cj] == si) continue;  // Already seen.
+                const size_t cj = e.set;
+                if (self && cj >= pi) break;  // Ascending: joined later.
+                if (candidate_of[cj] == pi) continue;  // Already seen.
                 // Every filter sees a pair exactly once, at its first
                 // shared prefix token; re-encounters would fail the
                 // same (size-determined) length check, so marking the
                 // pair up front changes neither the candidate set nor
                 // its order.
-                candidate_of[cj] = si;
+                candidate_of[cj] = pi;
                 ++co.counters.encountered;
-                if (static_cast<double>(sets[cj].ids.size()) < min_len) {
+                const double len_y =
+                    static_cast<double>(base_sets[cj].ids.size());
+                if (len_y < min_len || len_y > max_len) {
                   ++co.counters.pruned_length;
                   continue;
                 }
                 if (plan.exact_filters) {
-                  int pruned = PositionalSuffixFilter(x.ids, pi,
-                                                      sets[cj].ids, e.pos, xi);
+                  int pruned = PositionalSuffixFilter(x.ids, k,
+                                                      base_sets[cj].ids,
+                                                      e.pos, xi);
                   if (pruned != 0) {
                     if (pruned == 1) {
                       ++co.counters.pruned_positional;
@@ -700,12 +780,12 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
             // Pull the candidates' token sets toward the cache ahead
             // of the verify scan.
             for (size_t cj : candidates) {
-              HERA_PREFETCH_READ(sets[cj].ids.data());
+              HERA_PREFETCH_READ(base_sets[cj].ids.data());
             }
             for (size_t cj : candidates) {
-              const Encoded& y = sets[cj];
-              const LabeledValue& va = values[x.idx];
-              const LabeledValue& vb = values[y.idx];
+              const TokenSet& y = base_sets[cj];
+              const LabeledValue& va = *x.value;
+              const LabeledValue& vb = *y.value;
               if (va.label.rid == vb.label.rid) continue;
               ++co.counters.verified;
               double s = VerifyStringPair(plan, simv, xi, x.ids, y.ids,
@@ -719,372 +799,15 @@ Status PrefixFilterJoin::Join(const std::vector<LabeledValue>& values,
     AccumulateBusy(stats, report, "join.probe", phase_t0);
   }
 
-  const size_t token_pairs = sets.size() * (sets.size() - (sets.empty() ? 0 : 1)) / 2;
+  const size_t nb = base_sets.size();
+  const size_t token_pairs =
+      self ? nb * (nb - (nb == 0 ? 0 : 1)) / 2 : probes.size() * nb;
   FinishReport(report, totals, stop.load(std::memory_order_relaxed),
-               shed_posting, token_pairs, *out);
+               postings.shed(), token_pairs, *out);
   if (report != nullptr) {
     report->flat_probes_batched =
-        dict.flat_batched_probes() + posting_of.batched_probes();
-    report->flat_rehashes = dict.flat_rehashes() + posting_of.rehashes();
-  }
-  return Status::OK();
-}
-
-
-Status PrefixFilterJoin::JoinAB(const std::vector<LabeledValue>& probe,
-                                const std::vector<LabeledValue>& base,
-                                const ValueSimilarity& simv, double xi,
-                                const RunGuard& guard,
-                                std::vector<ValuePair>* out,
-                                JoinReport* report) const {
-  HERA_FAILPOINT("simjoin.join");
-  out->clear();
-  ThreadPool* pool = executor();
-  const size_t nworkers = (pool && pool->size() > 1) ? pool->size() : 1;
-  Timer join_timer;
-  const bool rec =
-      collect_worker_spans() && report != nullptr && nworkers > 1;
-  std::atomic<bool> stop{false};
-  const size_t max_posting = guard.max_posting_list();
-  size_t shed_posting = 0;
-  JoinCounters totals;
-
-  const bool metric_handles_numbers =
-      StartsWith(simv.Name(), "hybrid(") || simv.Name() == "numeric";
-  const bool exact_jaccard = IsJaccardMetric(simv, q_);
-  const VerifyPlan plan =
-      MakeVerifyPlan(simv, q_, encoded_kernels_, PairCacheFor(simv));
-  const double filter_xi = exact_jaccard ? xi : xi * filter_slack_;
-
-  // ---- Numeric path: base sorted by value, probes scan the window
-  // where (gap <= (1 - xi) * max(|x|, |y|)) can hold. Probes chunk
-  // across workers; the sorted base is read-only.
-  std::vector<size_t> base_numeric;
-  for (size_t i = 0; i < base.size(); ++i) {
-    if (base[i].value.is_number() && metric_handles_numbers) {
-      base_numeric.push_back(i);
-    }
-  }
-  std::sort(base_numeric.begin(), base_numeric.end(), [&](size_t a, size_t b) {
-    return base[a].value.AsNumber() < base[b].value.AsNumber();
-  });
-  const double t = 1.0 - xi;
-  const NumericWindow window = NumericWindowFor(simv);
-  {
-    const size_t n = probe.size();
-    const size_t grain = DefaultGrain(n, nworkers);
-    std::vector<ChunkOut> chunks(NumChunks(n, grain));
-    const double phase_t0 = join_timer.ElapsedMicros();
-    ParallelRunStats stats = ParallelChunks(
-        pool, n, grain,
-        [&](size_t chunk, size_t begin, size_t end, size_t /*worker*/) {
-          ChunkOut& co = chunks[chunk];
-          GuardTicker ticker(guard);
-          for (size_t pi = begin;
-               pi < end && !stop.load(std::memory_order_relaxed); ++pi) {
-            const LabeledValue& p = probe[pi];
-            if (!p.value.is_number() || !metric_handles_numbers) continue;
-            double x = p.value.AsNumber();
-            // Start at the first y >= x and also scan backwards while
-            // the symmetric condition can hold.
-            auto cmp = [&](size_t idx, double v) {
-              return base[idx].value.AsNumber() < v;
-            };
-            size_t start = static_cast<size_t>(
-                std::lower_bound(base_numeric.begin(), base_numeric.end(), x,
-                                 cmp) -
-                base_numeric.begin());
-            auto try_pair = [&](size_t bi) -> bool {  // "Within window".
-              double y = base[bi].value.AsNumber();
-              double gap = std::fabs(y - x);
-              double denom = std::max(std::fabs(x), std::fabs(y));
-              // Epsilon-relaxed pruning window; the metric makes the
-              // final call.
-              bool within;
-              if (window.absolute) {
-                within = gap <= t * window.tol + 1e-9;
-              } else {
-                within = denom == 0.0
-                             ? gap == 0.0
-                             : gap <= t * denom + 1e-9 * std::max(1.0, denom);
-              }
-              if (!within) return false;
-              if (p.label.rid != base[bi].label.rid) {
-                ++co.counters.candidates;
-                ++co.counters.verified;
-                double s = simv.Compute(p.value, base[bi].value);
-                if (s >= xi) co.pairs.push_back({p.label, base[bi].label, s});
-              }
-              return true;
-            };
-            // Forward: y >= x; failure is monotone for y > 0 (see
-            // Join()), and unconditionally for an absolute window.
-            for (size_t k = start; k < base_numeric.size(); ++k) {
-              if (ticker.Tick()) {
-                stop.store(true, std::memory_order_relaxed);
-                break;
-              }
-              double y = base[base_numeric[k]].value.AsNumber();
-              if (!try_pair(base_numeric[k]) && (window.absolute || y > 0))
-                break;
-            }
-            // Backward: y < x; by symmetry, failure is monotone while
-            // y < 0 for the relative window, always for the absolute.
-            for (size_t k = start; k-- > 0;) {
-              if (ticker.Tick()) {
-                stop.store(true, std::memory_order_relaxed);
-                break;
-              }
-              double y = base[base_numeric[k]].value.AsNumber();
-              if (!try_pair(base_numeric[k]) && (window.absolute || y < 0))
-                break;
-            }
-          }
-        },
-        rec);
-    MergeChunks(chunks, out, &totals);
-    AccumulateBusy(stats, report, "join.numeric", phase_t0);
-  }
-
-  // ---- String path: full inverted index over the base tokens, probes
-  // search with their prefix tokens; two-sided length filter.
-
-  // Phase 1 (parallel): normalization + gram extraction for base and
-  // probe sides (TokenCache-served when installed).
-  TokenCache* cache = (cache_ && cache_->q() == q_) ? cache_.get() : nullptr;
-  std::vector<std::string> base_norm(base.size()), probe_norm(probe.size());
-  std::vector<TokenCache::GramsPtr> base_shared, probe_shared;
-  std::vector<std::vector<std::string>> base_owned, probe_owned;
-  if (cache) {
-    base_shared.resize(base.size());
-    probe_shared.resize(probe.size());
-  } else {
-    base_owned.resize(base.size());
-    probe_owned.resize(probe.size());
-  }
-  {
-    const size_t n = base.size() + probe.size();
-    const double phase_t0 = join_timer.ElapsedMicros();
-    ParallelRunStats stats = ParallelChunks(
-        pool, n, DefaultGrain(n, nworkers),
-        [&](size_t /*chunk*/, size_t begin, size_t end, size_t /*worker*/) {
-          for (size_t k = begin; k < end; ++k) {
-            const bool is_base = k < base.size();
-            const size_t i = is_base ? k : k - base.size();
-            const LabeledValue& v = is_base ? base[i] : probe[i];
-            if (v.value.is_null()) continue;
-            if (v.value.is_number() && metric_handles_numbers) continue;
-            std::string norm = Normalize(v.value.ToString());
-            if (cache) {
-              (is_base ? base_shared : probe_shared)[i] = cache->Grams(norm);
-            } else {
-              (is_base ? base_owned : probe_owned)[i] = QgramSet(norm, q_);
-            }
-            (is_base ? base_norm : probe_norm)[i] = std::move(norm);
-          }
-        },
-        rec);
-    AccumulateBusy(stats, report, "join.tokenize", phase_t0);
-  }
-  auto base_grams = [&](size_t i) -> const std::vector<std::string>& {
-    return cache ? *base_shared[i] : base_owned[i];
-  };
-  auto probe_grams = [&](size_t i) -> const std::vector<std::string>& {
-    return cache ? *probe_shared[i] : probe_owned[i];
-  };
-
-  // Phase 2 (serial): dictionary build; mutates the dictionary.
-  QgramDictionary dict(q_, backend_, pipeline_depth_);
-  for (size_t i = 0; i < base.size(); ++i) {
-    if (!base_norm[i].empty()) dict.AddGrams(base_grams(i));
-  }
-  for (size_t i = 0; i < probe.size(); ++i) {
-    if (!probe_norm[i].empty()) dict.AddGrams(probe_grams(i));
-  }
-  dict.Freeze();
-
-  // Phase 3 (serial): encode the base and build its inverted index,
-  // honoring the posting ceiling in ascending base order (identical
-  // shed decisions to the serial build).
-  // token -> (base idx, token position); the position feeds the
-  // positional filter at probe time.
-  struct Posting {
-    size_t bi;
-    size_t pos;
-  };
-  // Backend-selected posting map, as in Join(): flat keeps the lists
-  // in a dense slab keyed through a FlatTable so probe-side lookups
-  // can batch; contents and shed decisions are identical either way.
-  const bool flat = backend_ == IndexBackend::kFlat;
-  constexpr uint64_t kNoSlot = ~0ull;
-  std::unordered_map<uint32_t, std::vector<Posting>> postings;
-  FlatTable posting_of(0, pipeline_depth_);  // token id -> slab slot.
-  std::vector<std::vector<Posting>> posting_store;
-  std::vector<std::vector<uint32_t>> base_ids(base.size());
-  {
-    std::vector<uint64_t> key_buf;
-    std::vector<uint64_t*> slot_buf;
-    for (size_t i = 0; i < base.size(); ++i) {
-      if (base_norm[i].empty()) continue;
-      base_ids[i] = dict.EncodeGrams(base_grams(i));
-      if (flat) {
-        key_buf.assign(base_ids[i].begin(), base_ids[i].end());
-        slot_buf.resize(key_buf.size());
-        posting_of.FindOrInsertBatch(key_buf, kNoSlot, slot_buf);
-        for (size_t pos = 0; pos < base_ids[i].size(); ++pos) {
-          uint64_t* slot = slot_buf[pos];
-          if (*slot == kNoSlot) {
-            *slot = posting_store.size();
-            posting_store.emplace_back();
-          }
-          std::vector<Posting>& list = posting_store[*slot];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({i, pos});
-        }
-      } else {
-        for (size_t pos = 0; pos < base_ids[i].size(); ++pos) {
-          std::vector<Posting>& list = postings[base_ids[i][pos]];
-          if (max_posting > 0 && list.size() >= max_posting) {
-            ++shed_posting;
-            continue;
-          }
-          list.push_back({i, pos});
-        }
-      }
-    }
-  }
-
-  // Probe token ids are pre-encoded here (encoding can intern unknown
-  // grams, so it cannot run concurrently) instead of per-probe inside
-  // the scan loop, which also drops the per-iteration vector copy the
-  // old in-loop encode paid.
-  std::vector<std::vector<uint32_t>> probe_ids(probe.size());
-  for (size_t i = 0; i < probe.size(); ++i) {
-    if (!probe_norm[i].empty()) probe_ids[i] = dict.EncodeGrams(probe_grams(i));
-  }
-
-  // Phase 4 (parallel): probing; per-worker last-probe markers (probe
-  // indices are globally unique, so markers never need resetting).
-  // Each probe gathers its prefix tokens' posting lists up front (one
-  // batched flat lookup or one map find per token, with list-head
-  // prefetch), and the guard runs at a per-probe stride weighted by
-  // the gathered work instead of inside the posting scan.
-  {
-    const size_t n = probe.size();
-    const size_t grain = DefaultGrain(n, nworkers);
-    std::vector<ChunkOut> chunks(NumChunks(n, grain));
-    std::vector<std::vector<size_t>> markers(
-        nworkers, std::vector<size_t>(base.size(), SIZE_MAX));
-    std::vector<std::vector<const std::vector<Posting>*>> list_bufs(nworkers);
-    std::vector<std::vector<uint64_t>> key_bufs(nworkers);
-    std::vector<std::vector<const uint64_t*>> slot_bufs(nworkers);
-    const double phase_t0 = join_timer.ElapsedMicros();
-    ParallelRunStats stats = ParallelChunks(
-        pool, n, grain,
-        [&](size_t chunk, size_t begin, size_t end, size_t worker) {
-          ChunkOut& co = chunks[chunk];
-          std::vector<size_t>& last_probe = markers[worker];
-          std::vector<const std::vector<Posting>*>& lists = list_bufs[worker];
-          GuardTicker ticker(guard);
-          for (size_t pi = begin;
-               pi < end && !stop.load(std::memory_order_relaxed); ++pi) {
-            const std::vector<uint32_t>& ids = probe_ids[pi];
-            if (ids.empty()) continue;
-            const size_t len_x = ids.size();
-            const size_t prefix = PrefixLen(len_x, filter_xi);
-            if (ticker.Tick(1 + prefix)) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            const double min_len = filter_xi * static_cast<double>(len_x);
-            const double max_len =
-                filter_xi > 0.0 ? static_cast<double>(len_x) / filter_xi
-                                : std::numeric_limits<double>::infinity();
-            lists.clear();
-            if (flat) {
-              std::vector<uint64_t>& keys = key_bufs[worker];
-              std::vector<const uint64_t*>& slots = slot_bufs[worker];
-              keys.clear();
-              for (size_t k = 0; k < prefix; ++k) keys.push_back(ids[k]);
-              slots.resize(prefix);
-              posting_of.FindBatch(keys, slots);
-              for (size_t k = 0; k < prefix; ++k) {
-                lists.push_back(slots[k] != nullptr
-                                    ? &posting_store[*slots[k]]
-                                    : nullptr);
-              }
-            } else {
-              for (size_t k = 0; k < prefix; ++k) {
-                auto it = postings.find(ids[k]);
-                lists.push_back(it == postings.end() ? nullptr : &it->second);
-              }
-            }
-            size_t scan_work = 0;
-            for (const std::vector<Posting>* list : lists) {
-              if (list == nullptr) continue;
-              scan_work += list->size();
-              HERA_PREFETCH_READ(list->data());
-            }
-            if (ticker.Tick(scan_work)) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            for (size_t k = 0; k < prefix; ++k) {
-              const std::vector<Posting>* list = lists[k];
-              if (list == nullptr) continue;
-              for (const Posting& e : *list) {
-                const size_t bi = e.bi;
-                if (last_probe[bi] == pi) continue;
-                last_probe[bi] = pi;
-                ++co.counters.encountered;
-                double blen = static_cast<double>(base_ids[bi].size());
-                if (blen < min_len || blen > max_len) {
-                  ++co.counters.pruned_length;
-                  continue;
-                }
-                if (probe[pi].label.rid == base[bi].label.rid) continue;
-                if (plan.exact_filters) {
-                  int pruned = PositionalSuffixFilter(ids, k, base_ids[bi],
-                                                      e.pos, xi);
-                  if (pruned != 0) {
-                    if (pruned == 1) {
-                      ++co.counters.pruned_positional;
-                    } else {
-                      ++co.counters.pruned_suffix;
-                    }
-                    continue;
-                  }
-                }
-                ++co.counters.candidates;
-                ++co.counters.verified;
-                double s = VerifyStringPair(plan, simv, xi, ids, base_ids[bi],
-                                            probe[pi].value, base[bi].value);
-                if (s >= xi) co.pairs.push_back({probe[pi].label, base[bi].label, s});
-              }
-            }
-          }
-        },
-        rec);
-    MergeChunks(chunks, out, &totals);
-    AccumulateBusy(stats, report, "join.probe", phase_t0);
-  }
-
-  size_t probe_tokenized = 0, base_tokenized = 0;
-  for (size_t i = 0; i < probe.size(); ++i) {
-    if (!probe_ids[i].empty()) ++probe_tokenized;
-  }
-  for (size_t i = 0; i < base.size(); ++i) {
-    if (!base_ids[i].empty()) ++base_tokenized;
-  }
-  FinishReport(report, totals, stop.load(std::memory_order_relaxed),
-               shed_posting, probe_tokenized * base_tokenized, *out);
-  if (report != nullptr) {
-    report->flat_probes_batched =
-        dict.flat_batched_probes() + posting_of.batched_probes();
-    report->flat_rehashes = dict.flat_rehashes() + posting_of.rehashes();
+        dict.flat_batched_probes() + postings.batched_probes();
+    report->flat_rehashes = dict.flat_rehashes() + postings.rehashes();
   }
   return Status::OK();
 }

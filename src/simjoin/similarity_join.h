@@ -207,13 +207,30 @@ class NestedLoopJoin : public SimilarityJoin {
 /// threshold is exact — then verification on the encoded token sets
 /// (kernel-eligible metrics) or with the actual metric.
 ///
+/// Both entry points run one pipeline: a numeric sweep, a tokenize
+/// phase, a dictionary build, a posting build, and one probe loop with
+/// its filter/verify body. They differ only in what probes what.
+/// Join() probes each set, in ascending-size order, against the prefix
+/// lists of the sets before it, with a one-sided length filter. JoinAB()
+/// probes each probe set against the base's full lists, with a
+/// two-sided length filter. Counters follow the same definitions in
+/// both: a candidate is counted before the same-record skip, and the
+/// batch in flight at a guard trip is counted shed.
+///
+/// Emission order is part of the contract. The output is the numeric
+/// pairs, then the token pairs, each in probe order (for Join, sorted
+/// value order and ascending set size), and within one probe in
+/// posting-scan order. ValuePairIndex assigns pids in this order, and
+/// pids break ties among equal-similarity pairs, so the order is
+/// byte-identical across thread counts and index backends.
+///
 /// The filter stack is *exact* (no false negatives) when the metric is
 /// q-gram Jaccard with the same q — HERA's default; the positional and
 /// suffix filters apply only then. For other string metrics the prefix
 /// threshold is scaled down by `filter_slack` (candidate generation
 /// becomes heuristic blocking; verification still uses the true
 /// metric). Numeric values are joined by a sorted sweep, exact for the
-/// relative-difference numeric similarity.
+/// relative-difference and absolute-tolerance numeric similarities.
 class PrefixFilterJoin : public SimilarityJoin {
  public:
   using SimilarityJoin::Join;
@@ -278,6 +295,13 @@ class PrefixFilterJoin : public SimilarityJoin {
                 JoinReport* report = nullptr) const override;
 
  private:
+  /// The pipeline behind both entry points: the self-join of `base`
+  /// when `probe` is null, else `probe` against `base`.
+  Status Probe(const std::vector<LabeledValue>* probe,
+               const std::vector<LabeledValue>& base,
+               const ValueSimilarity& simv, double xi, const RunGuard& guard,
+               std::vector<ValuePair>* out, JoinReport* report) const;
+
   int q_;
   double filter_slack_;
   bool encoded_kernels_ = true;
