@@ -18,6 +18,32 @@
 
 namespace hera {
 
+JoinSetup MakeJoinSetup(const HeraOptions& options,
+                        const ValueSimilarity& simv) {
+  JoinSetup setup;
+  if (options.use_prefix_filter_join) {
+    const int metric_q = GramMetricSize(simv.Name());
+    auto pf = std::make_unique<PrefixFilterJoin>(metric_q > 0 ? metric_q : 2);
+    setup.token_cache = std::make_shared<TokenCache>(pf->q());
+    pf->SetTokenCache(setup.token_cache);
+    pf->SetEncodedKernels(options.use_encoded_kernels);
+    pf->SetIndexBackend(options.index_backend, options.flat_pipeline_depth);
+    setup.joiner = std::move(pf);
+  } else {
+    setup.joiner = std::make_unique<NestedLoopJoin>();
+  }
+  if (options.enable_pair_sim_cache) {
+    setup.pair_cache = std::make_shared<PairSimCache>(
+        simv.Name(), options.pair_sim_cache_capacity);
+    setup.joiner->SetPairSimCache(setup.pair_cache);
+  }
+  if (options.num_threads > 1) {
+    setup.pool = std::make_unique<ThreadPool>(options.num_threads);
+    setup.joiner->SetExecutor(setup.pool.get());
+  }
+  return setup;
+}
+
 ResolutionEngine::ResolutionEngine(const HeraOptions& options,
                                    ValueSimilarityPtr simv)
     : options_(options),
@@ -29,29 +55,11 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
   // design (see sim/kernel_dispatch.h); purely a speed knob, so one
   // engine re-applying it under another is harmless.
   SetActiveKernelDispatch(options_.kernel_dispatch);
-  if (options_.use_prefix_filter_join) {
-    // Index at the metric's own gram size (q = 2 for non-gram metrics)
-    // so q != 2 gram metrics get the exact filters + encoded kernels
-    // instead of silently verifying on the string path.
-    const int metric_q = GramMetricSize(simv_->Name());
-    auto pf = std::make_unique<PrefixFilterJoin>(metric_q > 0 ? metric_q : 2);
-    token_cache_ = std::make_shared<TokenCache>(pf->q());
-    pf->SetTokenCache(token_cache_);
-    pf->SetEncodedKernels(options_.use_encoded_kernels);
-    pf->SetIndexBackend(options_.index_backend, options_.flat_pipeline_depth);
-    joiner_ = std::move(pf);
-  } else {
-    joiner_ = std::make_unique<NestedLoopJoin>();
-  }
-  if (options_.enable_pair_sim_cache) {
-    pair_cache_ = std::make_shared<PairSimCache>(
-        simv_->Name(), options_.pair_sim_cache_capacity);
-    joiner_->SetPairSimCache(pair_cache_);
-  }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    joiner_->SetExecutor(pool_.get());
-  }
+  JoinSetup join = MakeJoinSetup(options_, *simv_);
+  joiner_ = std::move(join.joiner);
+  pool_ = std::move(join.pool);
+  token_cache_ = std::move(join.token_cache);
+  pair_cache_ = std::move(join.pair_cache);
   index_.SetBackend(options_.index_backend, options_.flat_pipeline_depth);
   index_.SetCeilings(guard_.max_index_pairs(), guard_.max_posting_list());
 #ifndef HERA_DISABLE_OBS

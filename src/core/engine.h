@@ -40,6 +40,26 @@
 
 namespace hera {
 
+/// The similarity join a run with `options` uses, with the state it
+/// shares across join calls. ResolutionEngine and
+/// ComputeSimilarValuePairs both build their joiner with MakeJoinSetup.
+struct JoinSetup {
+  std::unique_ptr<SimilarityJoin> joiner;
+  /// Worker pool the joiner runs on; null when num_threads <= 1.
+  std::unique_ptr<ThreadPool> pool;
+  /// Interned q-gram sets; prefix-filter joiner only.
+  std::shared_ptr<TokenCache> token_cache;
+  /// Verified pair similarities; null when disabled.
+  std::shared_ptr<PairSimCache> pair_cache;
+};
+
+/// Builds the joiner `options` select for metric `simv`. The prefix
+/// filter indexes at the metric's own gram size (q = 2 for non-gram
+/// metrics), so q != 2 gram metrics get the exact filters and encoded
+/// kernels instead of silently verifying on the string path.
+JoinSetup MakeJoinSetup(const HeraOptions& options,
+                        const ValueSimilarity& simv);
+
 /// \brief Stateful compare-and-merge resolver.
 ///
 /// Usage (batch): AddRecords(all) -> ArmGuard() -> IndexNewRecords() ->

@@ -2,7 +2,6 @@
 
 #include "core/engine.h"
 #include "persist/checkpoint.h"
-#include "sim/kernel.h"
 #include "sim/metrics.h"
 
 namespace hera {
@@ -149,33 +148,10 @@ StatusOr<std::vector<ValuePair>> ComputeSimilarValuePairs(
       }
     }
   }
+  JoinSetup join = MakeJoinSetup(options, *simv);
   std::vector<ValuePair> pairs;
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  if (options.use_prefix_filter_join) {
-    // Same gram-size derivation as ResolutionEngine: q != 2 gram
-    // metrics index and verify at their own q.
-    const int metric_q = GramMetricSize(simv->Name());
-    PrefixFilterJoin join(metric_q > 0 ? metric_q : 2);
-    join.SetExecutor(pool.get());
-    join.SetEncodedKernels(options.use_encoded_kernels);
-    join.SetIndexBackend(options.index_backend, options.flat_pipeline_depth);
-    if (options.enable_pair_sim_cache) {
-      join.SetPairSimCache(std::make_shared<PairSimCache>(
-          simv->Name(), options.pair_sim_cache_capacity));
-    }
-    HERA_RETURN_NOT_OK(join.Join(values, *simv, options.xi, RunGuard(), &pairs));
-  } else {
-    NestedLoopJoin join;
-    join.SetExecutor(pool.get());
-    if (options.enable_pair_sim_cache) {
-      join.SetPairSimCache(std::make_shared<PairSimCache>(
-          simv->Name(), options.pair_sim_cache_capacity));
-    }
-    HERA_RETURN_NOT_OK(join.Join(values, *simv, options.xi, RunGuard(), &pairs));
-  }
+  HERA_RETURN_NOT_OK(
+      join.joiner->Join(values, *simv, options.xi, RunGuard(), &pairs));
   return pairs;
 }
 
