@@ -42,8 +42,8 @@ struct HeraOptions {
   /// PPJoin+-style positional/suffix filters where they are exact.
   /// Kernel scores are bit-equal to the string path, so this is purely
   /// a speed knob: labels, merge_sequence, and snapshots are identical
-  /// either way. Off restores the pre-kernel verification path (A/B
-  /// comparisons). See docs/performance.md.
+  /// either way. Off verifies every candidate with the metric itself
+  /// (A/B comparisons). See docs/performance.md.
   bool use_encoded_kernels = true;
 
   /// SIMD tier for the similarity kernels (sim/kernel_dispatch.h):

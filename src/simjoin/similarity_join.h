@@ -275,8 +275,8 @@ class PrefixFilterJoin : public SimilarityJoin {
   /// overlap / cosine over q-grams with matching q) are verified
   /// directly on the encoded token sets with threshold-driven early
   /// exit — bit-equal to the string path, so emitted pairs are
-  /// byte-identical either way. Off restores the pre-kernel path
-  /// (A/B comparisons, debugging).
+  /// byte-identical either way. Off verifies every candidate with the
+  /// metric itself (A/B comparisons, debugging).
   void SetEncodedKernels(bool enabled) { encoded_kernels_ = enabled; }
   bool encoded_kernels() const { return encoded_kernels_; }
 
