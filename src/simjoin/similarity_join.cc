@@ -669,8 +669,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // prefix: since its lists are ascending, a probe that stops scanning
   // at its own position (cj >= pi below) sees exactly the lists as they
   // stood when a serial build-while-probing loop reached it. Probing a
-  // base indexes every base token instead, since a probe may be
-  // shorter than the base set it matches.
+  // base indexes every base token, so only the probe's prefix filters.
   PostingTable postings(backend_, pipeline_depth_, guard.max_posting_list());
   for (size_t si = 0; si < base_sets.size(); ++si) {
     const std::vector<uint32_t>& ids = base_sets[si].ids;
