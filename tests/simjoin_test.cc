@@ -185,37 +185,44 @@ INSTANTIATE_TEST_SUITE_P(
 // lose pairs from the accounting: the batch whose weighted Tick(n)
 // fired was counted as candidates but never verified, and is reported
 // shed — candidates == verified + shed_candidates holds exactly at the
-// trip boundary.
+// trip boundary, for both entry points.
 TEST(PrefixFilterJoinTest, ShedCandidatesExactAtGuardTrip) {
   // Identical values across many records: candidate lists grow with
-  // the probe index, so the 1024-op ticker boundary is crossed inside
-  // a large Tick(candidates.size()) batch.
+  // the probe index (the whole base, for JoinAB), so the 1024-op
+  // ticker boundary is crossed inside a large Tick(candidates.size())
+  // batch.
   std::vector<std::string> strings(200, "same value");
   auto values = MakeValues(strings);
+  std::vector<LabeledValue> probe(values.begin(), values.begin() + 100);
+  std::vector<LabeledValue> base(values.begin() + 100, values.end());
   auto metric = MakeSimilarity("jaccard_q2");
 
   CancellationToken token = CancellationToken::Make();
   token.RequestCancel();  // Trips at the first ticker boundary.
   RunGuard guard;
   guard.WithCancellation(token);
-  std::vector<ValuePair> out;
-  JoinReport report;
-  ASSERT_TRUE(
-      PrefixFilterJoin().Join(values, *metric, 1.0, guard, &out, &report).ok());
-  EXPECT_TRUE(report.truncated);
-  EXPECT_GT(report.candidates, 0u);
-  EXPECT_GT(report.shed_candidates, 0u);
-  EXPECT_EQ(report.candidates, report.verified + report.shed_candidates);
+  for (bool self : {true, false}) {
+    auto run = [&](const RunGuard& g, JoinReport* report) {
+      std::vector<ValuePair> out;
+      PrefixFilterJoin join;
+      return self ? join.Join(values, *metric, 1.0, g, &out, report)
+                  : join.JoinAB(probe, base, *metric, 1.0, g, &out, report);
+    };
+    JoinReport report;
+    ASSERT_TRUE(run(guard, &report).ok());
+    EXPECT_TRUE(report.truncated) << "self=" << self;
+    EXPECT_GT(report.candidates, 0u) << "self=" << self;
+    EXPECT_GT(report.shed_candidates, 0u) << "self=" << self;
+    EXPECT_EQ(report.candidates, report.verified + report.shed_candidates)
+        << "self=" << self;
 
-  // Unguarded control: nothing is shed and every candidate is verified.
-  std::vector<ValuePair> full;
-  JoinReport full_report;
-  ASSERT_TRUE(PrefixFilterJoin()
-                  .Join(values, *metric, 1.0, RunGuard(), &full, &full_report)
-                  .ok());
-  EXPECT_FALSE(full_report.truncated);
-  EXPECT_EQ(full_report.shed_candidates, 0u);
-  EXPECT_EQ(full_report.candidates, full_report.verified);
+    // Unguarded control: nothing is shed and every candidate is verified.
+    JoinReport full_report;
+    ASSERT_TRUE(run(RunGuard(), &full_report).ok());
+    EXPECT_FALSE(full_report.truncated) << "self=" << self;
+    EXPECT_EQ(full_report.shed_candidates, 0u) << "self=" << self;
+    EXPECT_EQ(full_report.candidates, full_report.verified) << "self=" << self;
+  }
 }
 
 // Similarity values reported by the fast join must equal the metric's.
