@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <utility>
 #include <vector>
@@ -108,6 +109,10 @@ struct BaselineCase {
   const char* name;
   std::vector<uint32_t> (*run)(const Dataset&, const ValueSimilarity&);
 };
+
+// Prints the case by name: the default byte dump shows the pointers, so
+// the discovered test names would change with every build.
+void PrintTo(const BaselineCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<uint32_t> RunRSwoosh(const Dataset& ds, const ValueSimilarity& m) {
   return RSwoosh(ds, m, {0.5, 0.6});

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -232,6 +233,12 @@ struct NumericCase {
   const char* input;
   bool expected;
 };
+
+// Prints the input: the default byte dump shows the pointer and padding,
+// so the discovered test names would change with every build.
+void PrintTo(const NumericCase& c, std::ostream* os) {
+  *os << "[" << c.input << "]";
+}
 
 class LooksNumericTest : public ::testing::TestWithParam<NumericCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include "data/csv.h"
@@ -23,6 +24,12 @@ struct EscapeCase {
   const char* raw;
   const char* escaped;
 };
+
+// Prints the raw field: the default byte dump shows the pointers, so the
+// discovered test names would change with every build.
+void PrintTo(const EscapeCase& c, std::ostream* os) {
+  *os << "[" << c.raw << "]";
+}
 
 class CsvEscapeTest : public ::testing::TestWithParam<EscapeCase> {};
 
