@@ -19,13 +19,15 @@
 namespace hera {
 
 JoinSetup MakeJoinSetup(const HeraOptions& options,
-                        const ValueSimilarity& simv) {
+                        const ValueSimilarity& simv, bool cache_tokens) {
   JoinSetup setup;
   if (options.use_prefix_filter_join) {
     const int metric_q = GramMetricSize(simv.Name());
     auto pf = std::make_unique<PrefixFilterJoin>(metric_q > 0 ? metric_q : 2);
-    setup.token_cache = std::make_shared<TokenCache>(pf->q());
-    pf->SetTokenCache(setup.token_cache);
+    if (cache_tokens) {
+      setup.token_cache = std::make_shared<TokenCache>(pf->q());
+      pf->SetTokenCache(setup.token_cache);
+    }
     pf->SetEncodedKernels(options.use_encoded_kernels);
     pf->SetIndexBackend(options.index_backend, options.flat_pipeline_depth);
     setup.joiner = std::move(pf);
@@ -55,7 +57,7 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
   // design (see sim/kernel_dispatch.h); purely a speed knob, so one
   // engine re-applying it under another is harmless.
   SetActiveKernelDispatch(options_.kernel_dispatch);
-  JoinSetup join = MakeJoinSetup(options_, *simv_);
+  JoinSetup join = MakeJoinSetup(options_, *simv_, /*cache_tokens=*/true);
   joiner_ = std::move(join.joiner);
   pool_ = std::move(join.pool);
   token_cache_ = std::move(join.token_cache);

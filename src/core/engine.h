@@ -47,7 +47,7 @@ struct JoinSetup {
   std::unique_ptr<SimilarityJoin> joiner;
   /// Worker pool the joiner runs on; null when num_threads <= 1.
   std::unique_ptr<ThreadPool> pool;
-  /// Interned q-gram sets; prefix-filter joiner only.
+  /// Interned q-gram sets; prefix-filter joiner with cache_tokens only.
   std::shared_ptr<TokenCache> token_cache;
   /// Verified pair similarities; null when disabled.
   std::shared_ptr<PairSimCache> pair_cache;
@@ -57,8 +57,11 @@ struct JoinSetup {
 /// filter indexes at the metric's own gram size (q = 2 for non-gram
 /// metrics), so q != 2 gram metrics get the exact filters and encoded
 /// kernels instead of silently verifying on the string path.
+/// `cache_tokens` installs a TokenCache on the prefix filter: the
+/// engine joins every round's values and re-tokenizes the strings it
+/// has seen, while a one-shot join has nothing to reuse.
 JoinSetup MakeJoinSetup(const HeraOptions& options,
-                        const ValueSimilarity& simv);
+                        const ValueSimilarity& simv, bool cache_tokens);
 
 /// \brief Stateful compare-and-merge resolver.
 ///

@@ -148,7 +148,7 @@ StatusOr<std::vector<ValuePair>> ComputeSimilarValuePairs(
       }
     }
   }
-  JoinSetup join = MakeJoinSetup(options, *simv);
+  JoinSetup join = MakeJoinSetup(options, *simv, /*cache_tokens=*/false);
   std::vector<ValuePair> pairs;
   HERA_RETURN_NOT_OK(
       join.joiner->Join(values, *simv, options.xi, RunGuard(), &pairs));
