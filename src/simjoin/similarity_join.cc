@@ -687,7 +687,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // lists first, which sizes the candidate buffer from the posting
   // lengths and lets the flat path prefetch the list heads before the
   // scan. The guard is hoisted to a per-probe stride, weighted by the
-  // probe's work so the check cadence is unchanged.
+  // probe's work: its prefix, its candidate batch and, against a base,
+  // the gathered list lengths too. Full base lists can be long while few
+  // entries survive the filters, so that scan is ticked before it runs;
+  // no candidate is counted yet there, so shed accounting stays exact.
   {
     const size_t n = probes.size();
     const size_t grain = DefaultGrain(n, nworkers);
@@ -726,6 +729,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
               if (list == nullptr) continue;
               expected += list->size();
               HERA_PREFETCH_READ(list->data());
+            }
+            if (!self && ticker.Tick(expected)) {
+              stop.store(true, std::memory_order_relaxed);
+              break;
             }
             candidates.clear();
             candidates.reserve(

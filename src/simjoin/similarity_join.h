@@ -215,7 +215,9 @@ class NestedLoopJoin : public SimilarityJoin {
 /// probes each probe set against the base's full lists, with a
 /// two-sided length filter. Counters follow the same definitions in
 /// both: a candidate is counted before the same-record skip, and the
-/// batch in flight at a guard trip is counted shed.
+/// batch in flight at a guard trip is counted shed. JoinAB also ticks
+/// the guard on each probe's gathered postings before scanning them,
+/// since full base lists can be long while few entries pass the filters.
 ///
 /// Emission order is part of the contract. The output is the numeric
 /// pairs, then the token pairs, each in probe order (for Join, sorted

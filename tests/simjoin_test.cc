@@ -188,13 +188,16 @@ INSTANTIATE_TEST_SUITE_P(
 // trip boundary, for both entry points.
 TEST(PrefixFilterJoinTest, ShedCandidatesExactAtGuardTrip) {
   // Identical values across many records: candidate lists grow with
-  // the probe index (the whole base, for JoinAB), so the 1024-op
-  // ticker boundary is crossed inside a large Tick(candidates.size())
-  // batch.
-  std::vector<std::string> strings(200, "same value");
-  auto values = MakeValues(strings);
-  std::vector<LabeledValue> probe(values.begin(), values.begin() + 100);
-  std::vector<LabeledValue> base(values.begin() + 100, values.end());
+  // the probe index, so the 1024-op ticker boundary is crossed inside a
+  // large Tick(candidates.size()) batch. JoinAB also ticks each probe's
+  // gathered postings (the whole base) before its candidate batch (the
+  // whole base again), so a base of 600 keeps the first probe's gather
+  // under the boundary and puts the crossing in its candidate batch.
+  std::vector<std::string> strings(700, "same value");
+  auto all = MakeValues(strings);
+  std::vector<LabeledValue> values(all.begin(), all.begin() + 200);
+  std::vector<LabeledValue> probe(all.begin(), all.begin() + 100);
+  std::vector<LabeledValue> base(all.begin() + 100, all.end());
   auto metric = MakeSimilarity("jaccard_q2");
 
   CancellationToken token = CancellationToken::Make();
@@ -223,6 +226,47 @@ TEST(PrefixFilterJoinTest, ShedCandidatesExactAtGuardTrip) {
     EXPECT_EQ(full_report.shed_candidates, 0u) << "self=" << self;
     EXPECT_EQ(full_report.candidates, full_report.verified) << "self=" << self;
   }
+}
+
+// JoinAB probes full base lists, which can be long while few entries
+// survive the filters. The guard must still be consulted during that
+// scan: here one probe gathers thousands of length-pruned postings and
+// a single candidate, so only the gathered work crosses the ticker's
+// 1024-op boundary. A cancelled run stops before verifying anything.
+TEST(PrefixFilterJoinTest, JoinABChecksGuardOnLongFilteredLists) {
+  std::vector<std::string> strings = {"xyz", "xyz"};
+  for (int i = 0; i < 2000; ++i) {
+    std::string s = "xyz ";
+    for (int j = 0; j < 60; ++j) s.push_back('a' + (i * 7 + j) % 26);
+    strings.push_back(s);
+  }
+  auto values = MakeValues(strings);
+  std::vector<LabeledValue> probe(values.begin(), values.begin() + 1);
+  std::vector<LabeledValue> base(values.begin() + 1, values.end());
+  auto metric = MakeSimilarity("jaccard_q2");
+
+  JoinReport full_report;
+  std::vector<ValuePair> full;
+  ASSERT_TRUE(PrefixFilterJoin()
+                  .JoinAB(probe, base, *metric, 0.1, RunGuard(), &full,
+                          &full_report)
+                  .ok());
+  ASSERT_EQ(full_report.candidates, 1u);  // Only the equal string.
+  ASSERT_EQ(full.size(), 1u);
+
+  CancellationToken token = CancellationToken::Make();
+  token.RequestCancel();
+  RunGuard guard;
+  guard.WithCancellation(token);
+  JoinReport report;
+  std::vector<ValuePair> out;
+  ASSERT_TRUE(PrefixFilterJoin()
+                  .JoinAB(probe, base, *metric, 0.1, guard, &out, &report)
+                  .ok());
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.candidates, 0u);
+  EXPECT_EQ(report.verified, 0u);
+  EXPECT_TRUE(out.empty());
 }
 
 // Similarity values reported by the fast join must equal the metric's.
