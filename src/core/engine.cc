@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <set>
+#include <unordered_set>
 #include <unordered_map>
 #include <utility>
 
@@ -62,7 +62,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
   pool_ = std::move(join.pool);
   token_cache_ = std::move(join.token_cache);
   pair_cache_ = std::move(join.pair_cache);
-  index_.SetBackend(options_.index_backend, options_.flat_pipeline_depth);
   index_.SetCeilings(guard_.max_index_pairs(), guard_.max_posting_list());
 #ifndef HERA_DISABLE_OBS
   // A timeline interval implies report collection: the samples land in
@@ -344,6 +343,8 @@ void ResolutionEngine::SyncKernelMetrics() {
 void ResolutionEngine::HarvestIndexMetrics() {
   if (!trace_) return;
   trace_->metrics().GetGauge("index.size")->Set(static_cast<double>(index_.size()));
+  trace_->metrics().GetGauge("index.heap_bytes")
+      ->Set(static_cast<double>(index_.HeapBytes()));
   // Snapshot the posting-length distribution (one observation per live
   // posting list per indexing round).
   index_.ForEachPostingLength([this](uint32_t rid, size_t len) {
@@ -505,25 +506,28 @@ Status ResolutionEngine::IterateToFixpoint() {
       trace_->tracer().SetIteration(static_cast<int64_t>(stats_.iterations));
     }
 
-    // Snapshot the (rid1, rid2) groups. Following the paper's
-    // iteration semantics (Fig 8), each record participates in at most
-    // one merge per pass; groups touching a record merged earlier in
-    // the pass are deferred to the next iteration, where the index
-    // groups have been combined (Proposition 3 guarantees no similar
-    // value pair is lost).
-    std::vector<std::pair<uint32_t, uint32_t>> groups;
-    std::set<std::pair<uint32_t, uint32_t>> listed;
-    index_.ForEachGroup([&](uint32_t r1, uint32_t r2,
-                            const std::vector<IndexedPair>& pairs) {
-      (void)pairs;
-      if (loop_first_pass_ || loop_dirty_.count(r1) || loop_dirty_.count(r2)) {
-        if (listed.emplace(r1, r2).second) groups.emplace_back(r1, r2);
-      }
-    });
+    // Snapshot the (rid1, rid2) groups in index order. Following the
+    // paper's iteration semantics (Fig 8), each record participates in
+    // at most one merge per pass; groups touching a record merged
+    // earlier in the pass are deferred to the next iteration, where the
+    // index groups have been combined (Proposition 3 guarantees no
+    // similar value pair is lost).
+    std::vector<std::pair<uint32_t, uint32_t>> groups =
+        loop_first_pass_
+            ? index_.GroupKeys()
+            : index_.GroupKeysTouching(std::vector<uint32_t>(
+                  loop_dirty_.begin(), loop_dirty_.end()));
     // Re-queue the carried deferrals (their rids may no longer be
-    // dirty; they are owed an examination regardless).
-    for (const auto& g : loop_deferred_) {
-      if (listed.insert(g).second) groups.push_back(g);
+    // dirty; they are owed an examination regardless), each once.
+    if (!loop_deferred_.empty()) {
+      const size_t listed = groups.size();
+      std::unordered_set<uint64_t> queued;
+      for (const auto& g : loop_deferred_) {
+        const bool in_index_pass = std::binary_search(
+            groups.begin(), groups.begin() + static_cast<std::ptrdiff_t>(listed), g);
+        const uint64_t key = (static_cast<uint64_t>(g.first) << 32) | g.second;
+        if (!in_index_pass && queued.insert(key).second) groups.push_back(g);
+      }
     }
     loop_deferred_.clear();
     loop_first_pass_ = false;
@@ -554,7 +558,6 @@ Status ResolutionEngine::IterateToFixpoint() {
     struct GroupPlan {
       uint32_t i = 0, j = 0;  // Pass-start roots, i < j.
       bool same_root = false;
-      bool pairs_loaded = false;  // pairs came from the batched preload.
       bool loaded = false;    // pairs (and bounds, if any) computed.
       bool verified = false;  // vr holds a speculative KM result.
       std::vector<IndexedPair> pairs;
@@ -563,14 +566,12 @@ Status ResolutionEngine::IterateToFixpoint() {
       double verify_us = 0.0;
     };
     std::vector<GroupPlan> plans;
-    const bool flat_index = options_.index_backend == IndexBackend::kFlat;
     const bool parallel_phase_a =
         pool_ != nullptr && pool_->size() > 1 && groups.size() > 1;
     // Progressive mode needs every group's similarity upper bound
     // before Phase B starts (the frontier is ordered by it), so it
     // forces plan-building even on the serial ordered path.
-    if ((parallel_phase_a || flat_index || options_.progressive) &&
-        !groups.empty()) {
+    if ((parallel_phase_a || options_.progressive) && !groups.empty()) {
       // Roots are resolved serially: Find path-compresses.
       plans.resize(groups.size());
       for (size_t k = 0; k < groups.size(); ++k) {
@@ -580,30 +581,6 @@ Status ResolutionEngine::IterateToFixpoint() {
         plans[k].i = i;
         plans[k].j = j;
         plans[k].same_root = i == j;
-      }
-      if (flat_index) {
-        // Preload every live group's pairs in one batched sweep over
-        // the index — the pass's range lookups become a single
-        // prefetch-pipelined probe storm against pass-start state
-        // instead of |groups| pointer-chasing lookups scattered through
-        // the pass. Phase B's freshness checks below decide, group by
-        // group, whether the preloaded pairs are still adoptable.
-        std::vector<std::pair<uint32_t, uint32_t>> live;
-        std::vector<size_t> live_at;
-        live.reserve(groups.size());
-        live_at.reserve(groups.size());
-        for (size_t k = 0; k < groups.size(); ++k) {
-          if (plans[k].same_root) continue;
-          if (!active_.count(plans[k].i) || !active_.count(plans[k].j)) continue;
-          live.emplace_back(plans[k].i, plans[k].j);
-          live_at.push_back(k);
-        }
-        std::vector<std::vector<IndexedPair>> preloaded;
-        index_.PairsForBatch(live, &preloaded);
-        for (size_t n = 0; n < live_at.size(); ++n) {
-          plans[live_at[n]].pairs = std::move(preloaded[n]);
-          plans[live_at[n]].pairs_loaded = true;
-        }
       }
     }
     if (parallel_phase_a) {
@@ -620,7 +597,7 @@ Status ResolutionEngine::IterateToFixpoint() {
               auto it_i = active_.find(plan.i);
               auto it_j = active_.find(plan.j);
               if (it_i == active_.end() || it_j == active_.end()) continue;
-              if (!plan.pairs_loaded) plan.pairs = index_.PairsFor(plan.i, plan.j);
+              plan.pairs = index_.PairsFor(plan.i, plan.j);
               if (plan.pairs.empty()) {
                 plan.loaded = true;
                 continue;
@@ -653,19 +630,15 @@ Status ResolutionEngine::IterateToFixpoint() {
                                  trace_->tracer().iteration()});
         }
       }
-    } else if ((flat_index || options_.progressive) && !plans.empty()) {
+    } else if (options_.progressive && !plans.empty()) {
       // Serial path: finish the plans inline — bounds only;
       // verification stays in Phase B against the live predictor
-      // state. Under the flat backend the pairs were batch-preloaded
-      // above; the serial ordered progressive path loads them here
-      // (the same PairsFor lookups Phase B would otherwise issue).
+      // state. These are the same PairsFor lookups Phase B would
+      // otherwise issue.
       for (GroupPlan& plan : plans) {
         if (plan.same_root) continue;
-        if (!plan.pairs_loaded) {
-          if (!active_.count(plan.i) || !active_.count(plan.j)) continue;
-          plan.pairs = index_.PairsFor(plan.i, plan.j);
-          plan.pairs_loaded = true;
-        }
+        if (!active_.count(plan.i) || !active_.count(plan.j)) continue;
+        plan.pairs = index_.PairsFor(plan.i, plan.j);
         if (plan.pairs.empty()) {
           plan.loaded = true;
           continue;
@@ -995,18 +968,6 @@ Status ResolutionEngine::IterateToFixpoint() {
     obs::Counter* probes = trace_->metrics().GetCounter("index.probes");
     uint64_t seen = index_.probe_count();
     if (seen > probes->value()) probes->Inc(seen - probes->value());
-    // Same for the index's flat side-table traffic; a seen-marker delta
-    // because join reports Inc the same counters directly.
-    const uint64_t fp = index_.flat_batched_probes();
-    if (fp > flat_index_probes_seen_) {
-      c_flat_probes_->Inc(fp - flat_index_probes_seen_);
-      flat_index_probes_seen_ = fp;
-    }
-    const uint64_t fr = index_.flat_rehashes();
-    if (fr > flat_index_rehashes_seen_) {
-      c_flat_rehashes_->Inc(fr - flat_index_rehashes_seen_);
-      flat_index_rehashes_seen_ = fr;
-    }
     SyncKernelMetrics();
   }
 
@@ -1091,10 +1052,6 @@ void ResolutionEngine::RestoreState(const persist::EngineState& state) {
   if (trace_) {
     trace_->SetTimeBaseMs(stats_.index_build_ms + stats_.total_ms);
   }
-  // Keep the seen-markers <= the index's counters after the restore
-  // (restore-time inserts may have rehashed).
-  flat_index_probes_seen_ = index_.flat_batched_probes();
-  flat_index_rehashes_seen_ = index_.flat_rehashes();
   indexed_watermark_ = state.indexed_watermark;
   join_shed_posting_ = static_cast<size_t>(state.join_shed_posting);
   simplified_nodes_sum_ = state.simplified_nodes_sum;

@@ -279,13 +279,10 @@ class ResolutionEngine {
   obs::Counter* c_frontier_groups_ = nullptr;
   obs::Counter* c_frontier_verified_ = nullptr;
   obs::Counter* c_frontier_deferred_ = nullptr;
-  /// Flat-backend traffic (flat.probes_batched / flat.rehashes). Join
-  /// reports Inc these directly; the value-pair index's cumulative
-  /// totals are folded in via the seen-markers below.
+  /// The join's flat-backend traffic (flat.probes_batched /
+  /// flat.rehashes); join reports Inc these directly.
   obs::Counter* c_flat_probes_ = nullptr;
   obs::Counter* c_flat_rehashes_ = nullptr;
-  uint64_t flat_index_probes_seen_ = 0;
-  uint64_t flat_index_rehashes_seen_ = 0;
   /// Process-global kernel counter values at engine construction; the
   /// kernel.* report counters carry this engine's deltas only.
   KernelCounterSnapshot kernel_counters_base_;

@@ -2,216 +2,348 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 namespace hera {
 
-void ValuePairIndex::SetBackend(IndexBackend backend, size_t pipeline_depth) {
-  assert(pairs_.empty() && "SetBackend must run before any pairs are added");
+namespace {
+
+/// group_of_ value of a key FindOrInsert has just added.
+constexpr uint64_t kNoGroup = ~0ull;
+
+bool SameValue(const ValueLabel& x, const ValueLabel& y) {
+  return x.fid == y.fid && x.vid == y.vid;
+}
+
+bool ValueBefore(const ValueLabel& x, const ValueLabel& y) {
+  return x.fid != y.fid ? x.fid < y.fid : x.vid < y.vid;
+}
+
+}  // namespace
+
+void ValuePairIndex::SetBackend(IndexBackend backend,
+                                size_t /*pipeline_depth*/) {
   backend_ = backend;
-  by_pid_flat_ = FlatTable(0, pipeline_depth);
-  key_slab_.clear();
-  free_slots_.clear();
+}
+
+void ValuePairIndex::Clear() {
+  groups_ = std::vector<Group>();
+  free_groups_ = std::vector<uint32_t>();
+  group_of_ = FlatTable();
+  records_ = std::vector<RecordEntry>();
+  labels_ = std::vector<ValueLabel>();
+  size_ = 0;
 }
 
 void ValuePairIndex::Build(const std::vector<ValuePair>& pairs) {
-  pairs_.clear();
-  by_pid_.clear();
-  by_pid_flat_.Clear();
-  key_slab_.clear();
-  free_slots_.clear();
-  touching_.clear();
+  Clear();
   next_pid_ = 0;
   shed_pairs_ = 0;
   shed_posting_entries_ = 0;
   AddPairs(pairs);
 }
 
+ValuePairIndex::RecordEntry& ValuePairIndex::Record(uint32_t rid) {
+  if (rid >= records_.size()) records_.resize(static_cast<size_t>(rid) + 1);
+  return records_[rid];
+}
+
+uint32_t ValuePairIndex::Intern(const ValueLabel& label) {
+  std::vector<uint32_t>& gvids = Record(label.rid).gvids;
+  auto it = std::lower_bound(
+      gvids.begin(), gvids.end(), label,
+      [&](uint32_t g, const ValueLabel& l) { return ValueBefore(labels_[g], l); });
+  if (it != gvids.end() && SameValue(labels_[*it], label)) return *it;
+  const auto g = static_cast<uint32_t>(labels_.size());
+  labels_.push_back(label);
+  gvids.insert(it, g);
+  return g;
+}
+
+uint32_t ValuePairIndex::FindOrAddGroup(uint32_t rid1, uint32_t rid2) {
+  uint64_t* slot = group_of_.FindOrInsert(GroupKey(rid1, rid2), kNoGroup);
+  if (*slot != kNoGroup) return static_cast<uint32_t>(*slot);
+  uint32_t g;
+  if (!free_groups_.empty()) {
+    g = free_groups_.back();
+    free_groups_.pop_back();
+  } else {
+    g = static_cast<uint32_t>(groups_.size());
+    groups_.emplace_back();
+  }
+  *slot = g;
+  Record(rid2);  // Sizes records_ for both rids before taking references.
+  std::vector<uint32_t>& list1 = records_[rid1].groups;
+  std::vector<uint32_t>& list2 = records_[rid2].groups;
+  Group& grp = groups_[g];
+  grp.rid1 = rid1;
+  grp.rid2 = rid2;
+  grp.pos1 = static_cast<uint32_t>(list1.size());
+  grp.pos2 = static_cast<uint32_t>(list2.size());
+  list1.push_back(g);
+  list2.push_back(g);
+  return g;
+}
+
+uint32_t ValuePairIndex::Append(uint64_t pid, const ValueLabel& a,
+                                const ValueLabel& b, double sim) {
+  assert(a.rid < b.rid);
+  const uint32_t ga = Intern(a);
+  const uint32_t gb = Intern(b);
+  const uint32_t g = FindOrAddGroup(a.rid, b.rid);
+  groups_[g].slots.push_back({ga, gb, sim, pid});
+  ++records_[a.rid].pairs;
+  ++records_[b.rid].pairs;
+  ++size_;
+  return g;
+}
+
+void ValuePairIndex::FinishAppends(std::vector<uint32_t> touched) {
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (uint32_t g : touched) {
+    std::vector<Slot>& slots = groups_[g].slots;
+    std::sort(slots.begin(), slots.end(), SlotBefore);
+    slots.shrink_to_fit();
+  }
+  // Most groups hold one or two pairs, so the group table's growth
+  // slack would cost more than the pairs themselves.
+  groups_.shrink_to_fit();
+  labels_.shrink_to_fit();
+}
+
 void ValuePairIndex::AddPairs(const std::vector<ValuePair>& pairs) {
+  std::vector<uint32_t> touched;
+  touched.reserve(pairs.size());
   for (const ValuePair& p : pairs) {
     ValueLabel a = p.a, b = p.b;
     assert(a.rid != b.rid);
     if (a.rid > b.rid) std::swap(a, b);
-    if (max_pairs_ > 0 && pairs_.size() >= max_pairs_) {
+    if (max_pairs_ > 0 && size_ >= max_pairs_) {
       ++shed_pairs_;
       continue;
     }
     if (max_per_record_ > 0) {
       auto over = [&](uint32_t rid) {
-        auto it = touching_.find(rid);
-        return it != touching_.end() && it->second.size() >= max_per_record_;
+        return rid < records_.size() && records_[rid].pairs >= max_per_record_;
       };
       if (over(a.rid) || over(b.rid)) {
         ++shed_posting_entries_;
         continue;
       }
     }
-    Insert(next_pid_++, a, b, p.sim);
+    touched.push_back(Append(next_pid_++, a, b, p.sim));
   }
-}
-
-void ValuePairIndex::Insert(uint64_t pid, ValueLabel a, ValueLabel b, double sim) {
-  Key key{a.rid, b.rid, -sim, pid};
-  pairs_.emplace(key, Entry{a, b, sim});
-  if (backend_ == IndexBackend::kFlat) {
-    uint64_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      key_slab_[slot] = key;
-    } else {
-      slot = key_slab_.size();
-      key_slab_.push_back(key);
-    }
-    *by_pid_flat_.FindOrInsert(pid, slot) = slot;
-  } else {
-    by_pid_.emplace(pid, key);
-  }
-  touching_[a.rid].insert(pid);
-  touching_[b.rid].insert(pid);
-}
-
-void ValuePairIndex::Erase(uint64_t pid) {
-  Key key = KeyOf(pid);
-  auto pit = pairs_.find(key);
-  assert(pit != pairs_.end());
-  touching_[pit->second.a.rid].erase(pid);
-  touching_[pit->second.b.rid].erase(pid);
-  pairs_.erase(pit);
-  if (backend_ == IndexBackend::kFlat) {
-    const uint64_t* slot = by_pid_flat_.Find(pid);
-    assert(slot != nullptr);
-    free_slots_.push_back(*slot);
-    by_pid_flat_.Erase(pid);
-  } else {
-    by_pid_.erase(pid);
-  }
-}
-
-ValuePairIndex::Key ValuePairIndex::KeyOf(uint64_t pid) const {
-  if (backend_ == IndexBackend::kFlat) {
-    const uint64_t* slot = by_pid_flat_.Find(pid);
-    assert(slot != nullptr);
-    return key_slab_[*slot];
-  }
-  return by_pid_.at(pid);
+  FinishAppends(std::move(touched));
 }
 
 std::vector<IndexedPair> ValuePairIndex::PairsFor(uint32_t i, uint32_t j) const {
   probe_count_.Inc();
   if (i > j) std::swap(i, j);
   std::vector<IndexedPair> out;
-  Key lo{i, j, -2.0, 0};  // Similarities are in [0,1]; -2 precedes all.
-  for (auto it = pairs_.lower_bound(lo);
-       it != pairs_.end() && it->first.rid1 == i && it->first.rid2 == j; ++it) {
-    out.push_back({it->first.pid, it->second.a, it->second.b, it->second.sim});
-  }
+  if (i == j) return out;
+  const uint64_t* g = group_of_.Find(GroupKey(i, j));
+  if (g == nullptr) return out;
+  const std::vector<Slot>& slots = groups_[*g].slots;
+  out.reserve(slots.size());
+  for (const Slot& s : slots) out.push_back(Expand(s));
   return out;
 }
 
-void ValuePairIndex::PairsForBatch(
-    const std::vector<std::pair<uint32_t, uint32_t>>& groups,
-    std::vector<std::vector<IndexedPair>>* out) const {
-  probe_count_.Inc(groups.size());
-  out->clear();
-  out->resize(groups.size());
-  for (size_t k = 0; k < groups.size(); ++k) {
-    uint32_t i = groups[k].first, j = groups[k].second;
-    if (i > j) std::swap(i, j);
-    Key lo{i, j, -2.0, 0};
-    std::vector<IndexedPair>& dst = (*out)[k];
-    for (auto it = pairs_.lower_bound(lo);
-         it != pairs_.end() && it->first.rid1 == i && it->first.rid2 == j;
-         ++it) {
-      dst.push_back({it->first.pid, it->second.a, it->second.b, it->second.sim});
+std::vector<uint32_t> ValuePairIndex::SortedGroupIds() const {
+  std::vector<std::pair<uint64_t, uint32_t>> keyed;
+  keyed.reserve(group_of_.size());
+  for (uint32_t g = 0; g < groups_.size(); ++g) {
+    const Group& grp = groups_[g];
+    if (!grp.slots.empty()) keyed.emplace_back(GroupKey(grp.rid1, grp.rid2), g);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<uint32_t> ids(keyed.size());
+  for (size_t k = 0; k < keyed.size(); ++k) ids[k] = keyed[k].second;
+  return ids;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> ValuePairIndex::GroupKeys() const {
+  std::vector<std::pair<uint32_t, uint32_t>> keys;
+  for (uint32_t g : SortedGroupIds()) {
+    keys.emplace_back(groups_[g].rid1, groups_[g].rid2);
+  }
+  return keys;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> ValuePairIndex::GroupKeysTouching(
+    const std::vector<uint32_t>& rids) const {
+  std::vector<uint64_t> packed;
+  for (uint32_t rid : rids) {
+    if (rid >= records_.size()) continue;
+    for (uint32_t g : records_[rid].groups) {
+      packed.push_back(GroupKey(groups_[g].rid1, groups_[g].rid2));
     }
   }
+  std::sort(packed.begin(), packed.end());
+  packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
+  std::vector<std::pair<uint32_t, uint32_t>> keys(packed.size());
+  for (size_t k = 0; k < packed.size(); ++k) {
+    keys[k] = {static_cast<uint32_t>(packed[k] >> 32),
+               static_cast<uint32_t>(packed[k])};
+  }
+  return keys;
 }
 
 void ValuePairIndex::ForEachGroup(
     const std::function<void(uint32_t, uint32_t, const std::vector<IndexedPair>&)>&
         fn) const {
-  std::vector<IndexedPair> group;
-  uint32_t cur1 = 0, cur2 = 0;
-  bool open = false;
-  for (const auto& [key, entry] : pairs_) {
-    if (!open || key.rid1 != cur1 || key.rid2 != cur2) {
-      if (open) fn(cur1, cur2, group);
-      group.clear();
-      cur1 = key.rid1;
-      cur2 = key.rid2;
-      open = true;
-    }
-    group.push_back({key.pid, entry.a, entry.b, entry.sim});
+  std::vector<IndexedPair> pairs;
+  for (uint32_t g : SortedGroupIds()) {
+    pairs.clear();
+    for (const Slot& s : groups_[g].slots) pairs.push_back(Expand(s));
+    fn(groups_[g].rid1, groups_[g].rid2, pairs);
   }
-  if (open) fn(cur1, cur2, group);
+}
+
+void ValuePairIndex::Unlink(uint32_t g, uint32_t rid) {
+  const Group& grp = groups_[g];
+  const uint32_t pos = grp.rid1 == rid ? grp.pos1 : grp.pos2;
+  std::vector<uint32_t>& list = records_[rid].groups;
+  const uint32_t last = list.back();
+  list[pos] = last;
+  list.pop_back();
+  if (last != g) {
+    Group& moved = groups_[last];
+    (moved.rid1 == rid ? moved.pos1 : moved.pos2) = pos;
+  }
+}
+
+void ValuePairIndex::Release(uint32_t g) {
+  groups_[g].slots = std::vector<Slot>();
+  free_groups_.push_back(g);
 }
 
 void ValuePairIndex::ApplyMerge(
     uint32_t rid_i, uint32_t rid_j, uint32_t new_rid,
     const std::vector<std::pair<ValueLabel, ValueLabel>>& remap) {
+  assert(rid_i != rid_j);
   assert(new_rid == rid_i || new_rid == rid_j);
-  std::map<ValueLabel, ValueLabel> relabel(remap.begin(), remap.end());
+  const uint32_t s = new_rid;
+  const uint32_t a = new_rid == rid_i ? rid_j : rid_i;  // Absorbed.
+  Record(std::max(rid_i, rid_j));  // No resize below: references stay valid.
+  RecordEntry& rs = records_[s];
+  RecordEntry& ra = records_[a];
 
-  // Snapshot affected pids: everything touching either input record.
-  std::vector<uint64_t> affected;
-  for (uint32_t rid : {rid_i, rid_j}) {
-    auto it = touching_.find(rid);
-    if (it == touching_.end()) continue;
-    affected.insert(affected.end(), it->second.begin(), it->second.end());
+  // 1. Relabel both records' values through the remap. A value the
+  // remap does not cover is in no pair any more (its last pairs were
+  // deleted as intra-record by an earlier merge), so it is dropped.
+  std::vector<std::pair<ValueLabel, ValueLabel>> by_old(remap);
+  auto old_before = [](const std::pair<ValueLabel, ValueLabel>& x,
+                       const std::pair<ValueLabel, ValueLabel>& y) {
+    return x.first < y.first;
+  };
+  if (!std::is_sorted(by_old.begin(), by_old.end(), old_before)) {
+    std::sort(by_old.begin(), by_old.end(), old_before);
   }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
-
-  // Snapshot the keys too, before any Erase/Insert mutates the side
-  // table: under the flat backend this is one pipelined FindBatch over
-  // every affected pid instead of |affected| dependent scalar lookups.
-  std::vector<Key> keys(affected.size());
-  if (backend_ == IndexBackend::kFlat) {
-    std::vector<const uint64_t*> slots(affected.size());
-    by_pid_flat_.FindBatch(affected, slots);
-    for (size_t k = 0; k < affected.size(); ++k) {
-      assert(slots[k] != nullptr);
-      keys[k] = key_slab_[*slots[k]];
+  std::vector<uint32_t> values;
+  values.reserve(rs.gvids.size() + ra.gvids.size());
+  for (const std::vector<uint32_t>* list : {&rs.gvids, &ra.gvids}) {
+    for (uint32_t g : *list) {
+      auto it = std::lower_bound(
+          by_old.begin(), by_old.end(), labels_[g],
+          [](const std::pair<ValueLabel, ValueLabel>& e, const ValueLabel& l) {
+            return e.first < l;
+          });
+      if (it == by_old.end() || !(it->first == labels_[g])) continue;
+      assert(it->second.rid == s && "merge remap must relabel onto new_rid");
+      labels_[g] = it->second;
+      values.push_back(g);
     }
-  } else {
-    for (size_t k = 0; k < affected.size(); ++k) {
-      keys[k] = by_pid_.at(affected[k]);
+  }
+  std::sort(values.begin(), values.end(), [&](uint32_t x, uint32_t y) {
+    if (!SameValue(labels_[x], labels_[y])) {
+      return ValueBefore(labels_[x], labels_[y]);
     }
+    return x < y;
+  });
+  rs.gvids = std::move(values);
+  ra.gvids = std::vector<uint32_t>();
+
+  // 2. The pairs between the two records became intra-record: delete.
+  if (const uint64_t* found =
+          group_of_.Find(GroupKey(std::min(s, a), std::max(s, a)))) {
+    const auto g = static_cast<uint32_t>(*found);
+    const size_t n = groups_[g].slots.size();
+    rs.pairs -= n;
+    ra.pairs -= n;
+    size_ -= n;
+    Unlink(g, s);
+    Unlink(g, a);
+    group_of_.Erase(GroupKey(groups_[g].rid1, groups_[g].rid2));
+    Release(g);
   }
 
-  for (size_t k = 0; k < affected.size(); ++k) {
-    const uint64_t pid = affected[k];
-    Entry entry = pairs_.at(keys[k]);
-    auto rewrite = [&](ValueLabel& label) {
-      if (label.rid != rid_i && label.rid != rid_j) return;
-      auto it = relabel.find(label);
-      assert(it != relabel.end() && "merge remap must cover every indexed value");
-      label = it->second;
-    };
-    rewrite(entry.a);
-    rewrite(entry.b);
-    Erase(pid);
-    if (entry.a.rid == entry.b.rid) continue;  // Became intra-record: delete.
-    if (entry.a.rid > entry.b.rid) std::swap(entry.a, entry.b);
-    Insert(pid, entry.a, entry.b, entry.sim);
+  // 3. Move each group (a, k) under the survivor as (s, k). A partner
+  // between the two rids flips the group's orientation, so its slots
+  // swap sides; (sim desc, pid) order does not depend on the sides.
+  for (uint32_t g : ra.groups) {
+    Group& grp = groups_[g];
+    const bool a_first = grp.rid1 == a;
+    const uint32_t k = a_first ? grp.rid2 : grp.rid1;
+    const uint32_t pos_k = a_first ? grp.pos2 : grp.pos1;
+    if ((a < k) != (s < k)) {
+      for (Slot& slot : grp.slots) std::swap(slot.ga, slot.gb);
+    }
+    const uint32_t rid1 = std::min(s, k), rid2 = std::max(s, k);
+    group_of_.Erase(GroupKey(grp.rid1, grp.rid2));
+    uint64_t* target = group_of_.FindOrInsert(GroupKey(rid1, rid2), g);
+    if (*target == g) {
+      // No (s, k) group yet: re-key this one. k's list keeps its entry.
+      const auto pos_s = static_cast<uint32_t>(rs.groups.size());
+      rs.groups.push_back(g);
+      grp.rid1 = rid1;
+      grp.rid2 = rid2;
+      grp.pos1 = rid1 == s ? pos_s : pos_k;
+      grp.pos2 = rid1 == s ? pos_k : pos_s;
+    } else {
+      std::vector<Slot>& into = groups_[*target].slots;
+      std::vector<Slot> merged(into.size() + grp.slots.size());
+      std::merge(into.begin(), into.end(), grp.slots.begin(), grp.slots.end(),
+                 merged.begin(), SlotBefore);
+      into = std::move(merged);
+      Unlink(g, k);
+      Release(g);
+    }
   }
-  // The absorbed rid no longer owns any pairs.
-  touching_.erase(new_rid == rid_i ? rid_j : rid_i);
+  ra.groups = std::vector<uint32_t>();
+
+  // 4. Every remaining pair of the absorbed record now touches the
+  // survivor; partners' posting lengths do not change.
+  rs.pairs += ra.pairs;
+  ra.pairs = 0;
 }
 
 void ValuePairIndex::ForEachPostingLength(
     const std::function<void(uint32_t rid, size_t len)>& fn) const {
-  for (const auto& [rid, pids] : touching_) {
-    if (!pids.empty()) fn(rid, pids.size());
+  for (uint32_t rid = 0; rid < records_.size(); ++rid) {
+    if (records_[rid].pairs > 0) fn(rid, records_[rid].pairs);
   }
+}
+
+size_t ValuePairIndex::HeapBytes() const {
+  size_t bytes = groups_.capacity() * sizeof(Group) +
+                 free_groups_.capacity() * sizeof(uint32_t) +
+                 group_of_.capacity() *
+                     (sizeof(FlatTable::Key) + sizeof(FlatTable::Value)) +
+                 records_.capacity() * sizeof(RecordEntry) +
+                 labels_.capacity() * sizeof(ValueLabel);
+  for (const Group& grp : groups_) bytes += grp.slots.capacity() * sizeof(Slot);
+  for (const RecordEntry& rec : records_) {
+    bytes += (rec.groups.capacity() + rec.gvids.capacity()) * sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 std::vector<IndexedPair> ValuePairIndex::Dump() const {
   std::vector<IndexedPair> out;
-  out.reserve(pairs_.size());
-  for (const auto& [key, entry] : pairs_) {
-    out.push_back({key.pid, entry.a, entry.b, entry.sim});
+  out.reserve(size_);
+  for (uint32_t g : SortedGroupIds()) {
+    for (const Slot& s : groups_[g].slots) out.push_back(Expand(s));
   }
   return out;
 }
@@ -220,16 +352,13 @@ void ValuePairIndex::RestoreState(const std::vector<IndexedPair>& pairs,
                                   uint64_t next_pid, size_t shed_pairs,
                                   size_t shed_posting_entries,
                                   uint64_t probe_count) {
-  pairs_.clear();
-  by_pid_.clear();
-  by_pid_flat_.Clear();
-  key_slab_.clear();
-  free_slots_.clear();
-  touching_.clear();
+  Clear();
+  std::vector<uint32_t> touched;
+  touched.reserve(pairs.size());
   for (const IndexedPair& p : pairs) {
-    assert(p.a.rid < p.b.rid);
-    Insert(p.pid, p.a, p.b, p.sim);
+    touched.push_back(Append(p.pid, p.a, p.b, p.sim));
   }
+  FinishAppends(std::move(touched));
   next_pid_ = next_pid;
   shed_pairs_ = shed_pairs;
   shed_posting_entries_ = shed_posting_entries;
@@ -237,42 +366,61 @@ void ValuePairIndex::RestoreState(const std::vector<IndexedPair>& pairs,
 }
 
 bool ValuePairIndex::CheckInvariants() const {
-  const size_t side_size = backend_ == IndexBackend::kFlat
-                               ? by_pid_flat_.size()
-                               : by_pid_.size();
-  if (side_size != pairs_.size()) return false;
-  if (backend_ == IndexBackend::kFlat) {
-    // Every live slot plus every free slot accounts for the slab.
-    if (by_pid_flat_.size() + free_slots_.size() != key_slab_.size()) {
-      return false;
+  // Each record's value list: its own labels, sorted, each gvid listed
+  // exactly once across all records.
+  std::vector<bool> listed(labels_.size(), false);
+  for (uint32_t rid = 0; rid < records_.size(); ++rid) {
+    const std::vector<uint32_t>& gvids = records_[rid].gvids;
+    for (size_t k = 0; k < gvids.size(); ++k) {
+      const uint32_t g = gvids[k];
+      if (g >= labels_.size() || listed[g] || labels_[g].rid != rid) return false;
+      listed[g] = true;
+      if (k > 0) {
+        const ValueLabel& prev = labels_[gvids[k - 1]];
+        if (ValueBefore(labels_[g], prev)) return false;
+        if (SameValue(labels_[g], prev) && g < gvids[k - 1]) return false;
+      }
     }
-  } else {
-    if (by_pid_flat_.size() != 0 || !key_slab_.empty()) return false;
   }
-  for (const auto& [key, entry] : pairs_) {
-    if (entry.a.rid >= entry.b.rid) return false;
-    if (key.rid1 != entry.a.rid || key.rid2 != entry.b.rid) return false;
-    if (key.neg_sim != -entry.sim) return false;
-    Key k2;
-    if (backend_ == IndexBackend::kFlat) {
-      const uint64_t* slot = by_pid_flat_.Find(key.pid);
-      if (slot == nullptr || *slot >= key_slab_.size()) return false;
-      k2 = key_slab_[*slot];
-    } else {
-      auto it = by_pid_.find(key.pid);
-      if (it == by_pid_.end()) return false;
-      k2 = it->second;
+
+  size_t live = 0, total = 0, links = 0;
+  std::vector<size_t> touching(records_.size(), 0);
+  std::vector<uint64_t> pids;
+  pids.reserve(size_);
+  for (uint32_t g = 0; g < groups_.size(); ++g) {
+    const Group& grp = groups_[g];
+    if (grp.slots.empty()) continue;  // A freed id.
+    ++live;
+    if (grp.rid1 >= grp.rid2 || grp.rid2 >= records_.size()) return false;
+    const uint64_t* mapped = group_of_.Find(GroupKey(grp.rid1, grp.rid2));
+    if (mapped == nullptr || *mapped != g) return false;
+    const std::vector<uint32_t>& list1 = records_[grp.rid1].groups;
+    const std::vector<uint32_t>& list2 = records_[grp.rid2].groups;
+    if (grp.pos1 >= list1.size() || list1[grp.pos1] != g) return false;
+    if (grp.pos2 >= list2.size() || list2[grp.pos2] != g) return false;
+    for (size_t k = 0; k < grp.slots.size(); ++k) {
+      const Slot& s = grp.slots[k];
+      if (s.ga >= labels_.size() || s.gb >= labels_.size()) return false;
+      if (!listed[s.ga] || !listed[s.gb]) return false;
+      if (labels_[s.ga].rid != grp.rid1 || labels_[s.gb].rid != grp.rid2) {
+        return false;
+      }
+      if (k > 0 && !SlotBefore(grp.slots[k - 1], s)) return false;
+      pids.push_back(s.pid);
     }
-    if (k2.rid1 != key.rid1 || k2.rid2 != key.rid2 ||
-        k2.neg_sim != key.neg_sim || k2.pid != key.pid) {
-      return false;
-    }
-    auto ta = touching_.find(entry.a.rid);
-    auto tb = touching_.find(entry.b.rid);
-    if (ta == touching_.end() || !ta->second.count(key.pid)) return false;
-    if (tb == touching_.end() || !tb->second.count(key.pid)) return false;
+    total += grp.slots.size();
+    touching[grp.rid1] += grp.slots.size();
+    touching[grp.rid2] += grp.slots.size();
   }
-  return true;
+  if (total != size_ || live != group_of_.size()) return false;
+  if (live + free_groups_.size() != groups_.size()) return false;
+  for (uint32_t rid = 0; rid < records_.size(); ++rid) {
+    if (records_[rid].pairs != touching[rid]) return false;
+    links += records_[rid].groups.size();
+  }
+  if (links != 2 * live) return false;
+  std::sort(pids.begin(), pids.end());
+  return std::adjacent_find(pids.begin(), pids.end()) == pids.end();
 }
 
 }  // namespace hera

@@ -2,11 +2,18 @@
 //
 // Stores every similar value pair (simv >= ξ, different records),
 // labeled ((rid1,fid1,vid1),(rid2,fid2,vid2)) with rid1 < rid2, ordered
-// by (rid1 asc, rid2 asc, sim desc) — exactly the paper's sort. The
-// backing container is an ordered map keyed by (rid1, rid2, -sim, pid),
-// which provides the paper's binary-search range lookups
-// (binary_search_l / binary_search_r collapse to lower_bound) and the
-// O(|V̂_ij| log |V|) merge maintenance of Proposition 4.
+// by (rid1 asc, rid2 asc, sim desc) — exactly the paper's sort, with the
+// pair id (pid) breaking similarity ties.
+//
+// The store is one vector per (rid1, rid2) group, sorted by (sim desc,
+// pid), reached through a hash map keyed on the group and through a
+// per-record list of its groups. Pair slots hold global value ids
+// (gvids) instead of labels; a gvid -> (rid, fid, vid) table holds the
+// current labels. That is what makes merge maintenance (Section III-B2,
+// Proposition 4) cost what the absorbed record owns: a merge rewrites
+// the table entries of the two records' values, drops the intra-record
+// group, and moves the absorbed record's groups under the survivor. The
+// survivor's own pairs are never touched.
 
 #ifndef HERA_INDEX_VALUE_PAIR_INDEX_H_
 #define HERA_INDEX_VALUE_PAIR_INDEX_H_
@@ -14,9 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -73,12 +77,10 @@ class ValuePairIndex {
   ValuePairIndex(ValuePairIndex&&) noexcept = default;
   ValuePairIndex& operator=(ValuePairIndex&&) noexcept = default;
 
-  /// Selects the pid-lookup backend. kFlat mirrors the pid -> key map
-  /// into a flat open-addressing side table whose merge-maintenance
-  /// lookups batch through the prefetch pipeline (`pipeline_depth`
-  /// probes in flight). Contents and iteration order are identical
-  /// either way — a speed knob only. Must be called while the index is
-  /// empty (the engine sets it at construction).
+  /// Only records `backend` so backend() can report it; the index has
+  /// one storage layout whatever the backend (the backend picks the
+  /// join's hash structures, see PrefixFilterJoin::SetIndexBackend).
+  /// `pipeline_depth` is ignored.
   void SetBackend(IndexBackend backend,
                   size_t pipeline_depth = FlatTable::kDefaultPipelineDepth);
   IndexBackend backend() const { return backend_; }
@@ -110,32 +112,35 @@ class ValuePairIndex {
 
   /// Number of value pairs currently stored (the |S| of Table II at
   /// build time).
-  size_t size() const { return pairs_.size(); }
+  size_t size() const { return size_; }
 
   /// All pairs for the record pair (i, j), descending similarity.
-  /// Order of i and j does not matter.
+  /// Order of i and j does not matter. Read-only, so safe to call
+  /// concurrently with other const calls.
   std::vector<IndexedPair> PairsFor(uint32_t i, uint32_t j) const;
 
-  /// Batched PairsFor: the paper's binary_search_l/r range lookup for
-  /// every (i, j) group in `groups`, written to (*out)[k] in group
-  /// order ((*out) is resized and overwritten). Counts one probe per
-  /// group, exactly like scalar PairsFor calls. The engine preloads a
-  /// pass's candidate groups through this in one sweep when the flat
-  /// backend is selected.
-  void PairsForBatch(const std::vector<std::pair<uint32_t, uint32_t>>& groups,
-                     std::vector<std::vector<IndexedPair>>* out) const;
+  /// Keys of every non-empty (rid1, rid2) group, rid1 < rid2, in index
+  /// order (rid1 asc, rid2 asc).
+  std::vector<std::pair<uint32_t, uint32_t>> GroupKeys() const;
+
+  /// GroupKeys() restricted to the groups that touch a record in
+  /// `rids` (duplicates and unknown rids are fine). Costs the groups of
+  /// those records, not the whole index.
+  std::vector<std::pair<uint32_t, uint32_t>> GroupKeysTouching(
+      const std::vector<uint32_t>& rids) const;
 
   /// Visits every non-empty (rid1, rid2) group in index order; `pairs`
-  /// is sorted by descending similarity. Candidate generation is one
-  /// pass over this (Proposition 2).
+  /// is sorted by descending similarity.
   void ForEachGroup(
       const std::function<void(uint32_t rid1, uint32_t rid2,
                                const std::vector<IndexedPair>& pairs)>& fn) const;
 
   /// Applies the merge of records `rid_i` and `rid_j` into `new_rid`
-  /// (Section III-B2): deletes pairs that became intra-record, rewrites
-  /// labels per `remap` (from SuperRecord::Merge), and restores sort
-  /// order. `new_rid` must be `rid_i` or `rid_j`.
+  /// (Section III-B2): deletes the pairs between the two records,
+  /// rewrites labels per `remap` (from SuperRecord::Merge), and moves
+  /// the absorbed record's groups under the survivor. `new_rid` must be
+  /// `rid_i` or `rid_j`, and `remap` must cover every indexed value of
+  /// both records.
   void ApplyMerge(uint32_t rid_i, uint32_t rid_j, uint32_t new_rid,
                   const std::vector<std::pair<ValueLabel, ValueLabel>>& remap);
 
@@ -148,9 +153,9 @@ class ValuePairIndex {
   /// reset by Build).
   size_t probe_count() const { return probe_count_.value(); }
 
-  /// Flat side-table traffic for the obs layer (0 under ordered).
-  uint64_t flat_batched_probes() const { return by_pid_flat_.batched_probes(); }
-  uint64_t flat_rehashes() const { return by_pid_flat_.rehashes(); }
+  /// Heap bytes held by the index: the capacity of the pair slots, the
+  /// label table, the group table and map, and the per-record lists.
+  size_t HeapBytes() const;
 
   /// All pairs in index order (for tests / checkpoint export).
   std::vector<IndexedPair> Dump() const;
@@ -173,43 +178,72 @@ class ValuePairIndex {
   bool CheckInvariants() const;
 
  private:
-  struct Key {
-    uint32_t rid1;
-    uint32_t rid2;
-    double neg_sim;  // Ascending neg_sim == descending sim.
-    uint64_t pid;    // Tie-breaker; keeps keys unique.
-
-    bool operator<(const Key& o) const {
-      if (rid1 != o.rid1) return rid1 < o.rid1;
-      if (rid2 != o.rid2) return rid2 < o.rid2;
-      if (neg_sim != o.neg_sim) return neg_sim < o.neg_sim;
-      return pid < o.pid;
-    }
-  };
-
-  struct Entry {
-    ValueLabel a;
-    ValueLabel b;
+  /// One stored pair: the two values' gvids (ga's record is the
+  /// group's rid1), the similarity, and the pid. 24 bytes.
+  struct Slot {
+    uint32_t ga;
+    uint32_t gb;
     double sim;
+    uint64_t pid;
   };
 
-  void Insert(uint64_t pid, ValueLabel a, ValueLabel b, double sim);
-  void Erase(uint64_t pid);
-  /// pid -> sort key, served by whichever backend is live.
-  Key KeyOf(uint64_t pid) const;
+  /// The pairs of one (rid1, rid2) group, sorted by (sim desc, pid),
+  /// and the group's position in each record's group list.
+  struct Group {
+    uint32_t rid1 = 0;
+    uint32_t rid2 = 0;
+    uint32_t pos1 = 0;  // Index in records_[rid1].groups.
+    uint32_t pos2 = 0;  // Index in records_[rid2].groups.
+    std::vector<Slot> slots;
+  };
 
-  std::map<Key, Entry> pairs_;
+  /// Per-record state, indexed by rid.
+  struct RecordEntry {
+    std::vector<uint32_t> groups;  // Ids of the groups touching it.
+    std::vector<uint32_t> gvids;   // Its values, sorted by (fid, vid, gvid).
+    size_t pairs = 0;              // Pairs touching it (posting length).
+  };
+
+  static uint64_t GroupKey(uint32_t rid1, uint32_t rid2) {
+    return (static_cast<uint64_t>(rid1) << 32) | rid2;
+  }
+  static bool SlotBefore(const Slot& x, const Slot& y) {
+    if (x.sim != y.sim) return x.sim > y.sim;
+    return x.pid < y.pid;
+  }
+
+  void Clear();
+  RecordEntry& Record(uint32_t rid);
+  /// The gvid holding `label`, interning a fresh one if none does.
+  uint32_t Intern(const ValueLabel& label);
+  /// The group (rid1, rid2), created empty and linked if absent.
+  uint32_t FindOrAddGroup(uint32_t rid1, uint32_t rid2);
+  /// Appends a pair without restoring the group's order; returns the
+  /// group id.
+  uint32_t Append(uint64_t pid, const ValueLabel& a, const ValueLabel& b,
+                  double sim);
+  /// Restores (sim desc, pid) order in the appended-to groups and trims
+  /// the capacity of the grown vectors.
+  void FinishAppends(std::vector<uint32_t> touched);
+  /// Live group ids in index order.
+  std::vector<uint32_t> SortedGroupIds() const;
+  /// Unlinks group `g` from `rid`'s group list in O(1).
+  void Unlink(uint32_t g, uint32_t rid);
+  /// Frees group `g`'s slots and id; its key must already be unmapped.
+  void Release(uint32_t g);
+  IndexedPair Expand(const Slot& s) const {
+    return {s.pid, labels_[s.ga], labels_[s.gb], s.sim};
+  }
+
   IndexBackend backend_ = IndexBackend::kOrdered;
-  /// Ordered backend's pid -> key map (empty under kFlat).
-  std::unordered_map<uint64_t, Key> by_pid_;
-  /// Flat backend: pid -> slot into key_slab_ (Key is 24 bytes, so the
-  /// uint64-valued table indirects through a slab; freed slots are
-  /// recycled). Both empty under kOrdered.
-  FlatTable by_pid_flat_;
-  std::vector<Key> key_slab_;
-  std::vector<uint64_t> free_slots_;
-  // rid -> pids of pairs touching that record; drives ApplyMerge.
-  std::unordered_map<uint32_t, std::unordered_set<uint64_t>> touching_;
+  std::vector<Group> groups_;
+  std::vector<uint32_t> free_groups_;
+  /// GroupKey(rid1, rid2) -> index into groups_.
+  FlatTable group_of_;
+  std::vector<RecordEntry> records_;
+  /// gvid -> current label.
+  std::vector<ValueLabel> labels_;
+  size_t size_ = 0;
   uint64_t next_pid_ = 0;
 
   size_t max_pairs_ = 0;

@@ -362,37 +362,12 @@ TEST(ValuePairIndexFlatTest, FlatMirrorsOrderedThroughBuildAndMerges) {
     ASSERT_TRUE(flat.CheckInvariants()) << "round " << round;
     ASSERT_TRUE(SameDump(ordered.Dump(), flat.Dump())) << "round " << round;
   }
-  EXPECT_GT(flat.flat_batched_probes(), 0u);
-}
-
-TEST(ValuePairIndexFlatTest, PairsForBatchMatchesScalarLookups) {
-  Rng rng(77);
-  for (IndexBackend backend : {IndexBackend::kOrdered, IndexBackend::kFlat}) {
-    ValuePairIndex index;
-    index.SetBackend(backend);
-    index.Build(RandomPairs(&rng, 300, 30));
-    std::vector<std::pair<uint32_t, uint32_t>> groups;
-    for (int g = 0; g < 50; ++g) {
-      groups.emplace_back(static_cast<uint32_t>(rng.Uniform(30)),
-                          static_cast<uint32_t>(rng.Uniform(30)));
-    }
-    const size_t probes_before = index.probe_count();
-    std::vector<std::vector<IndexedPair>> batched;
-    index.PairsForBatch(groups, &batched);
-    EXPECT_EQ(index.probe_count(), probes_before + groups.size());
-    ASSERT_EQ(batched.size(), groups.size());
-    for (size_t k = 0; k < groups.size(); ++k) {
-      EXPECT_TRUE(SameDump(index.PairsFor(groups[k].first, groups[k].second),
-                           batched[k]))
-          << "group " << k;
-    }
-  }
 }
 
 // Regression for the move-assignment bug: the hand-written member-wise
 // move had to list every field and silently dropped newly added ones.
 // With MovableAtomicCounter the moves are defaulted — moving must carry
-// *all* state, including counters and the flat side table.
+// *all* state, including counters and the recorded backend.
 TEST(ValuePairIndexFlatTest, MoveCarriesFullState) {
   for (IndexBackend backend : {IndexBackend::kOrdered, IndexBackend::kFlat}) {
     Rng rng(5);

@@ -6,12 +6,19 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <ranges>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/hera.h"
+#include "data/movie_generator.h"
 #include "index/bounds.h"
 #include "index/value_pair_index.h"
+#include "record/record.h"
+#include "record/super_record.h"
 
 namespace hera {
 namespace {
@@ -222,6 +229,338 @@ TEST(ValuePairIndexTest, RandomizedMergeMaintainsInvariants) {
       EXPECT_NE(p.b.rid, b);
     }
   }
+}
+
+// ------------------------------------------------ Reference-index oracle
+
+// The index as the paper states it, with no secondary structure: one
+// flat vector in (rid1, rid2, sim desc, pid) order, re-sorted after
+// every change. A merge relabels every pair through the remap.
+class ReferenceIndex {
+ public:
+  void SetCeilings(size_t max_pairs, size_t max_per_record) {
+    max_pairs_ = max_pairs;
+    max_per_record_ = max_per_record;
+  }
+
+  void Build(const std::vector<ValuePair>& pairs) {
+    pairs_.clear();
+    next_pid_ = 0;
+    shed_pairs_ = shed_posting_ = 0;
+    AddPairs(pairs);
+  }
+
+  void AddPairs(const std::vector<ValuePair>& pairs) {
+    for (const ValuePair& p : pairs) {
+      ValueLabel a = p.a, b = p.b;
+      if (a.rid > b.rid) std::swap(a, b);
+      if (max_pairs_ > 0 && pairs_.size() >= max_pairs_) {
+        ++shed_pairs_;
+        continue;
+      }
+      if (max_per_record_ > 0 && (PostingLengths()[a.rid] >= max_per_record_ ||
+                                  PostingLengths()[b.rid] >= max_per_record_)) {
+        ++shed_posting_;
+        continue;
+      }
+      pairs_.push_back({next_pid_++, a, b, p.sim});
+    }
+    Sort();
+  }
+
+  void ApplyMerge(uint32_t i, uint32_t j,
+                  const std::vector<std::pair<ValueLabel, ValueLabel>>& remap) {
+    std::map<ValueLabel, ValueLabel> relabel(remap.begin(), remap.end());
+    std::vector<IndexedPair> kept;
+    for (IndexedPair p : pairs_) {
+      for (ValueLabel* l : {&p.a, &p.b}) {
+        if (l->rid == i || l->rid == j) *l = relabel.at(*l);
+      }
+      if (p.a.rid == p.b.rid) continue;
+      if (p.a.rid > p.b.rid) std::swap(p.a, p.b);
+      kept.push_back(p);
+    }
+    pairs_ = std::move(kept);
+    Sort();
+  }
+
+  void RestoreState(const std::vector<IndexedPair>& pairs, uint64_t next_pid,
+                    size_t shed_pairs, size_t shed_posting) {
+    pairs_ = pairs;
+    Sort();
+    next_pid_ = next_pid;
+    shed_pairs_ = shed_pairs;
+    shed_posting_ = shed_posting;
+  }
+
+  std::vector<IndexedPair> PairsFor(uint32_t i, uint32_t j) const {
+    if (i > j) std::swap(i, j);
+    std::vector<IndexedPair> out;
+    for (const IndexedPair& p : pairs_) {
+      if (p.a.rid == i && p.b.rid == j) out.push_back(p);
+    }
+    return out;
+  }
+
+  std::vector<std::pair<uint32_t, uint32_t>> GroupKeys(
+      const std::set<uint32_t>* touching = nullptr) const {
+    std::vector<std::pair<uint32_t, uint32_t>> keys;
+    for (const IndexedPair& p : pairs_) {
+      if (touching != nullptr && !touching->count(p.a.rid) &&
+          !touching->count(p.b.rid)) {
+        continue;
+      }
+      if (keys.empty() || keys.back() != std::make_pair(p.a.rid, p.b.rid)) {
+        keys.emplace_back(p.a.rid, p.b.rid);
+      }
+    }
+    return keys;
+  }
+
+  std::map<uint32_t, size_t> PostingLengths() const {
+    std::map<uint32_t, size_t> len;
+    for (const IndexedPair& p : pairs_) {
+      ++len[p.a.rid];
+      ++len[p.b.rid];
+    }
+    return len;
+  }
+
+  const std::vector<IndexedPair>& Dump() const { return pairs_; }
+  size_t size() const { return pairs_.size(); }
+  uint64_t next_pid() const { return next_pid_; }
+  size_t shed_pairs() const { return shed_pairs_; }
+  size_t shed_posting_entries() const { return shed_posting_; }
+
+ private:
+  void Sort() {
+    std::sort(pairs_.begin(), pairs_.end(),
+              [](const IndexedPair& x, const IndexedPair& y) {
+                if (x.a.rid != y.a.rid) return x.a.rid < y.a.rid;
+                if (x.b.rid != y.b.rid) return x.b.rid < y.b.rid;
+                if (x.sim != y.sim) return x.sim > y.sim;
+                return x.pid < y.pid;
+              });
+  }
+
+  std::vector<IndexedPair> pairs_;
+  uint64_t next_pid_ = 0;
+  size_t max_pairs_ = 0, max_per_record_ = 0;
+  size_t shed_pairs_ = 0, shed_posting_ = 0;
+};
+
+bool SamePairs(const std::vector<IndexedPair>& x,
+               const std::vector<IndexedPair>& y) {
+  if (x.size() != y.size()) return false;
+  for (size_t k = 0; k < x.size(); ++k) {
+    if (x[k].pid != y[k].pid || !(x[k].a == y[k].a) || !(x[k].b == y[k].b) ||
+        x[k].sim != y[k].sim) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Drives ValuePairIndex and ReferenceIndex through the same random
+// builds, incremental adds, real SuperRecord merges (either survivor,
+// either argument order, so survivor values get relabeled and matched
+// fields dedup two values onto one label), snapshot restores and moves,
+// and compares every observable after every step.
+class IndexOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexOracleTest, MatchesReferenceThroughRandomSequences) {
+  Rng rng(GetParam());
+  const uint32_t kRecords = 16 + static_cast<uint32_t>(rng.Uniform(10));
+  const char* kAlphabet[] = {"a", "b", "c"};  // Small: merges dedup often.
+  std::map<uint32_t, SuperRecord> live;
+  for (uint32_t r = 0; r < kRecords; ++r) {
+    std::vector<Value> values;
+    for (int f = 0; f < 3; ++f) values.emplace_back(kAlphabet[rng.Uniform(3)]);
+    live.emplace(r, SuperRecord::FromRecord(Record(r, 0, std::move(values))));
+  }
+  auto random_pairs = [&](size_t n) {
+    std::vector<ValuePair> pairs;
+    std::vector<uint32_t> rids;
+    for (const auto& [rid, sr] : live) rids.push_back(rid);
+    auto random_value = [&](uint32_t rid) {
+      const SuperRecord& sr = live.at(rid);
+      const auto f = static_cast<uint32_t>(rng.Uniform(sr.num_fields()));
+      const auto v = static_cast<uint32_t>(rng.Uniform(sr.field(f).size()));
+      return ValueLabel{rid, f, v};
+    };
+    while (pairs.size() < n && rids.size() >= 2) {
+      const uint32_t r1 = rids[rng.Uniform(rids.size())];
+      const uint32_t r2 = rids[rng.Uniform(rids.size())];
+      if (r1 == r2) continue;
+      // Few distinct similarities, so pid breaks many ties.
+      const double sim = 0.5 + 0.1 * static_cast<double>(rng.Uniform(6));
+      pairs.push_back({random_value(r1), random_value(r2), sim});
+    }
+    return pairs;
+  };
+
+  ValuePairIndex index;
+  ReferenceIndex ref;
+  const size_t initial = 150 + rng.Uniform(100);
+  switch (GetParam() % 3) {
+    case 1:  // Pair ceiling: the tail of the initial build is shed.
+      index.SetCeilings(initial * 3 / 4, 0);
+      ref.SetCeilings(initial * 3 / 4, 0);
+      break;
+    case 2:  // Posting-list ceiling.
+      index.SetCeilings(0, 14);
+      ref.SetCeilings(0, 14);
+      break;
+    default:
+      break;
+  }
+  const std::vector<ValuePair> first = random_pairs(initial);
+  index.Build(first);
+  ref.Build(first);
+
+  size_t smaller_survives = 0, larger_survives = 0, partner_between = 0,
+         dedups = 0;
+  auto compare = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_TRUE(index.CheckInvariants());
+    ASSERT_TRUE(SamePairs(index.Dump(), ref.Dump()));
+    EXPECT_EQ(index.size(), ref.size());
+    EXPECT_EQ(index.next_pid(), ref.next_pid());
+    EXPECT_EQ(index.shed_pairs(), ref.shed_pairs());
+    EXPECT_EQ(index.shed_posting_entries(), ref.shed_posting_entries());
+    EXPECT_EQ(index.GroupKeys(), ref.GroupKeys());
+    std::set<uint32_t> some;
+    for (const auto& [rid, sr] : live) {
+      if (rng.Bernoulli(0.3)) some.insert(rid);
+    }
+    some.insert(kRecords + 5);  // A rid the index has never seen.
+    EXPECT_EQ(index.GroupKeysTouching(
+                  std::vector<uint32_t>(some.begin(), some.end())),
+              ref.GroupKeys(&some));
+    std::map<uint32_t, size_t> lengths;
+    index.ForEachPostingLength(
+        [&](uint32_t rid, size_t len) { EXPECT_TRUE(lengths.emplace(rid, len).second); });
+    EXPECT_EQ(lengths, ref.PostingLengths());
+    for (auto x = live.begin(); x != live.end(); ++x) {
+      for (auto y = std::next(x); y != live.end(); ++y) {
+        ASSERT_TRUE(SamePairs(index.PairsFor(y->first, x->first),
+                              ref.PairsFor(x->first, y->first)))
+            << x->first << "," << y->first;
+      }
+    }
+  };
+  compare(0);
+
+  for (int step = 1; step <= 60; ++step) {
+    const uint64_t action = rng.Uniform(20);
+    if (action < 12 && live.size() >= 2) {
+      // A merge of two live records through SuperRecord::Merge.
+      std::vector<uint32_t> rids;
+      for (const auto& [rid, sr] : live) rids.push_back(rid);
+      uint32_t i = rids[rng.Uniform(rids.size())];
+      uint32_t j = rids[rng.Uniform(rids.size())];
+      if (i == j) continue;
+      if (i > j) std::swap(i, j);
+      const uint32_t s = rng.Bernoulli(0.5) ? i : j;
+      const uint32_t absorbed = s == i ? j : i;
+      (s == i ? smaller_survives : larger_survives)++;
+      for (uint32_t k : ref.PostingLengths() | std::views::keys) {
+        if (k > i && k < j && !ref.PairsFor(absorbed, k).empty()) {
+          ++partner_between;
+          break;
+        }
+      }
+      // Either record may be Merge's first argument; the second one's
+      // values are the ones that move fields.
+      const bool survivor_first = rng.Bernoulli(0.5);
+      const SuperRecord& a = live.at(survivor_first ? s : absorbed);
+      const SuperRecord& b = live.at(survivor_first ? absorbed : s);
+      std::vector<FieldMatch> matching;
+      for (uint32_t f = 0; f < std::min(a.num_fields(), b.num_fields()); ++f) {
+        if (rng.Bernoulli(0.6)) matching.push_back({f, f, 1.0});
+      }
+      std::vector<std::pair<ValueLabel, ValueLabel>> remap;
+      SuperRecord merged = SuperRecord::Merge(a, b, matching, s, &remap);
+      std::set<ValueLabel> targets;
+      for (const auto& [from, to] : remap) {
+        if (!targets.insert(to).second) ++dedups;
+      }
+      if (rng.Bernoulli(0.5)) {
+        index.ApplyMerge(i, j, s, remap);
+      } else {
+        index.ApplyMerge(j, i, s, remap);
+      }
+      ref.ApplyMerge(i, j, remap);
+      live.erase(absorbed);
+      live.at(s) = std::move(merged);
+    } else if (action < 15) {
+      const std::vector<ValuePair> more = random_pairs(1 + rng.Uniform(40));
+      index.AddPairs(more);
+      ref.AddPairs(more);
+    } else if (action < 17) {
+      ValuePairIndex restored;
+      restored.SetCeilings(GetParam() % 3 == 1 ? initial * 3 / 4 : 0,
+                           GetParam() % 3 == 2 ? 14 : 0);
+      restored.RestoreState(index.Dump(), index.next_pid(), index.shed_pairs(),
+                            index.shed_posting_entries(), index.probe_count());
+      index = std::move(restored);
+    } else if (action < 18) {
+      ValuePairIndex moved(std::move(index));
+      index = std::move(moved);
+    } else {
+      const std::vector<ValuePair> fresh = random_pairs(50 + rng.Uniform(100));
+      index.Build(fresh);
+      ref.Build(fresh);
+    }
+    compare(step);
+    if (HasFatalFailure()) return;
+  }
+  // Every seed must reach the cases the index treats specially.
+  EXPECT_GT(smaller_survives, 0u);
+  EXPECT_GT(larger_survives, 0u);
+  EXPECT_GT(partner_between, 0u);
+  EXPECT_GT(dedups, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexOracleTest, ::testing::Range<uint64_t>(1, 25));
+
+TEST(ValuePairIndexTest, HeapBytesPerPairAndFallAfterMerges) {
+  MovieGeneratorConfig config;
+  config.num_records = 2000;
+  config.num_entities = 150;
+  config.seed = 7;
+  const Dataset ds = GenerateMovieDataset(config);
+  HeraOptions opts;
+  opts.xi = 0.5;
+  auto pairs = ComputeSimilarValuePairs(ds, opts);
+  ASSERT_TRUE(pairs.ok());
+  ValuePairIndex index;
+  index.Build(*pairs);
+  ASSERT_GT(index.size(), 100000u);
+  const size_t built = index.HeapBytes();
+  EXPECT_LE(static_cast<double>(built) / static_cast<double>(index.size()), 90.0);
+
+  // Merge each entity's records into its first one, as the resolver
+  // would, with no matched fields.
+  std::map<uint32_t, SuperRecord> live;
+  for (const Record& r : ds.records()) live.emplace(r.id(), SuperRecord::FromRecord(r));
+  std::map<uint32_t, uint32_t> root_of_entity;
+  size_t merges = 0;
+  for (const Record& r : ds.records()) {
+    auto [it, first] = root_of_entity.emplace(ds.entity_of()[r.id()], r.id());
+    if (first || merges == 500) continue;
+    const uint32_t s = it->second;
+    std::vector<std::pair<ValueLabel, ValueLabel>> remap;
+    SuperRecord merged =
+        SuperRecord::Merge(live.at(s), live.at(r.id()), {}, s, &remap);
+    index.ApplyMerge(s, r.id(), s, remap);
+    live.erase(r.id());
+    live.at(s) = std::move(merged);
+    ++merges;
+  }
+  ASSERT_EQ(merges, 500u);
+  EXPECT_TRUE(index.CheckInvariants());
+  EXPECT_LT(index.HeapBytes(), built);
 }
 
 // -------------------------------------------------------------- Bounds
