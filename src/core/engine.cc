@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <unordered_set>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -570,7 +570,7 @@ Status ResolutionEngine::IterateToFixpoint() {
         pool_ != nullptr && pool_->size() > 1 && groups.size() > 1;
     // Progressive mode needs every group's similarity upper bound
     // before Phase B starts (the frontier is ordered by it), so it
-    // forces plan-building even on the serial ordered path.
+    // forces plan-building even on the serial path.
     if ((parallel_phase_a || options_.progressive) && !groups.empty()) {
       // Roots are resolved serially: Find path-compresses.
       plans.resize(groups.size());

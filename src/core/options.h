@@ -70,11 +70,12 @@ struct HeraOptions {
   /// cache degrades to a pass-through. ~48 bytes + key text per entry.
   size_t pair_sim_cache_capacity = 1u << 20;
 
-  /// Hash backend for candidate generation and index-side pid lookups
+  /// Hash backend for the join's candidate generation
   /// (index/flat_table.h): kOrdered keeps the node-based std
   /// containers; kFlat routes the join's gram dictionary and posting
-  /// table plus the value-pair index's pid side table through a flat
-  /// open-addressing table with batched, prefetch-pipelined probes.
+  /// table through a flat open-addressing table with batched,
+  /// prefetch-pipelined probes. The value-pair index has one layout
+  /// under either.
   /// Purely a speed knob: labels, merge_sequence, and snapshots are
   /// byte-identical either way, at every thread count. See
   /// docs/performance.md ("Flat index backend").

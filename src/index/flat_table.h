@@ -7,10 +7,12 @@
 // is what makes candidate generation (a pure probe storm) run at
 // memory bandwidth instead of memory latency.
 //
-// The table is a *backend*, selected by HeraOptions::index_backend:
-// everything stored through it (gram ids, posting slots, pid slots) is
-// exact, so switching backends changes probe cost only — never which
-// pairs a join emits or which merges the engine applies.
+// For the join the table is a *backend*, selected by
+// HeraOptions::index_backend: everything stored through it (gram ids,
+// posting slots) is exact, so switching backends changes probe cost
+// only — never which pairs a join emits or which merges the engine
+// applies. The value-pair index keys its groups on one whatever the
+// backend.
 
 #ifndef HERA_INDEX_FLAT_TABLE_H_
 #define HERA_INDEX_FLAT_TABLE_H_
@@ -36,9 +38,9 @@
 
 namespace hera {
 
-/// Hash-structure backend for candidate generation and index-side pid
-/// lookups: the ordered/node-based containers the paper's pseudocode
-/// implies, or the flat batched table. A speed knob only — labels and
+/// Hash-structure backend for the join's candidate generation: the
+/// ordered/node-based containers the paper's pseudocode implies, or
+/// the flat batched table. A speed knob only — labels and
 /// merge_sequence are byte-identical under either (see
 /// docs/performance.md).
 enum class IndexBackend {

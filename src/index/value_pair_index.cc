@@ -233,13 +233,11 @@ void ValuePairIndex::ApplyMerge(
   // remap does not cover is in no pair any more (its last pairs were
   // deleted as intra-record by an earlier merge), so it is dropped.
   std::vector<std::pair<ValueLabel, ValueLabel>> by_old(remap);
-  auto old_before = [](const std::pair<ValueLabel, ValueLabel>& x,
-                       const std::pair<ValueLabel, ValueLabel>& y) {
-    return x.first < y.first;
-  };
-  if (!std::is_sorted(by_old.begin(), by_old.end(), old_before)) {
-    std::sort(by_old.begin(), by_old.end(), old_before);
-  }
+  std::sort(by_old.begin(), by_old.end(),
+            [](const std::pair<ValueLabel, ValueLabel>& x,
+               const std::pair<ValueLabel, ValueLabel>& y) {
+              return x.first < y.first;
+            });
   std::vector<uint32_t> values;
   values.reserve(rs.gvids.size() + ra.gvids.size());
   for (const std::vector<uint32_t>* list : {&rs.gvids, &ra.gvids}) {
