@@ -633,8 +633,8 @@ Status ResolutionEngine::IterateToFixpoint() {
     } else if (options_.progressive && !plans.empty()) {
       // Serial path: finish the plans inline — bounds only;
       // verification stays in Phase B against the live predictor
-      // state. These are the same PairsFor lookups Phase B would
-      // otherwise issue.
+      // state. These are the PairsFor lookups Phase B would otherwise
+      // make.
       for (GroupPlan& plan : plans) {
         if (plan.same_root) continue;
         if (!active_.count(plan.i) || !active_.count(plan.j)) continue;
