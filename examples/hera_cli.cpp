@@ -1,7 +1,7 @@
 // hera_cli: run HERA over a dataset file from the command line.
 //
 //   hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]
-//                    [--threads N] [--index-backend ordered|flat]
+//                    [--threads N]
 //                    [--kernel-dispatch auto|avx2|sse4|scalar]
 //                    [--out labels.csv] [--quiet]
 //                    [--emit-report report.json] [--log-level LEVEL]
@@ -27,11 +27,6 @@
 // HERA_THREADS environment variable; the flag wins) sets
 // HeraOptions::num_threads — results are identical at any setting (see
 // docs/performance.md); the run report records the value used.
-// --index-backend (or HERA_INDEX_BACKEND; the flag wins) picks the
-// hash-structure backend for candidate generation and index lookups:
-// "ordered" (the default node-based containers) or "flat" (the
-// batched, prefetch-pipelined flat table — same labels and merge
-// order, lower probe cost; see docs/performance.md).
 // --kernel-dispatch (or HERA_KERNEL_DISPATCH; the flag wins) picks the
 // SIMD tier for the similarity kernels: "auto" (default: best
 // supported), "avx2", "sse4", or "scalar". Tiers unsupported by the
@@ -52,16 +47,23 @@
 // converted into cooperative cancellation: the run stops at its next
 // safe point, checkpoints, and exits 2 with a resume hint.
 //
+// Numeric flags (and HERA_THREADS) must parse whole: counts are
+// unsigned decimal integers, reals are finite decimals. A malformed
+// value is a usage error that names the flag.
+//
 // Exit codes: 0 the run completed; 2 the run ended governed (degraded,
 // iteration cap, budget spent, or truncated — the labeling is valid
 // and, with a checkpoint directory, resumable); 3 error (unreadable
 // input, corrupt checkpoint, write failure); 64 usage error.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -84,7 +86,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]\n"
-      "                   [--threads N] [--index-backend ordered|flat]\n"
+      "                   [--threads N]\n"
       "                   [--kernel-dispatch auto|avx2|sse4|scalar]\n"
       "                   [--out labels.csv] [--quiet]\n"
       "                   [--emit-report report.json] [--log-level LEVEL]\n"
@@ -127,32 +129,56 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// Parses `text`, the value of flag or variable `name`, into `*out`
+/// when `text` is non-null. The whole string must parse; an unsigned
+/// `T` takes no sign and a floating `T` must be finite. On a malformed
+/// value, prints `name` and returns false; `*out` is then unchanged.
+template <typename T>
+bool ParseNumber(const char* name, const char* text, T* out) {
+  if (text == nullptr) return true;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (want %s)\n", name,
+                 text,
+                 std::is_floating_point_v<T> ? "a finite number"
+                                             : "a non-negative integer");
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// ParseNumber over the value of `flag`, if present.
+template <typename T>
+bool NumericFlag(int argc, char** argv, const char* flag, T* out) {
+  return ParseNumber(flag, FlagValue(argc, argv, flag), out);
+}
+
 int CmdResolve(int argc, char** argv) {
   if (argc < 1) return Usage();
-  auto ds = ReadDataset(argv[0]);
-  if (!ds.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", argv[0],
-                 ds.status().ToString().c_str());
-    return 3;
-  }
   HeraOptions opts;
-  if (const char* v = FlagValue(argc, argv, "--xi")) opts.xi = std::atof(v);
-  if (const char* v = FlagValue(argc, argv, "--delta")) opts.delta = std::atof(v);
-  if (const char* v = FlagValue(argc, argv, "--metric")) opts.metric = v;
-  if (const char* v = std::getenv("HERA_THREADS")) {
-    opts.num_threads = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--threads")) {
-    opts.num_threads = std::strtoull(v, nullptr, 10);
-  }
-  const char* backend_name = std::getenv("HERA_INDEX_BACKEND");
-  if (const char* v = FlagValue(argc, argv, "--index-backend")) backend_name = v;
-  if (backend_name != nullptr &&
-      !IndexBackendFromString(backend_name, &opts.index_backend)) {
-    std::fprintf(stderr, "unknown index backend %s (want ordered|flat)\n",
-                 backend_name);
+  double deadline_ms = 0.0;
+  size_t max_verifications = 0;
+  const bool has_deadline = FlagValue(argc, argv, "--deadline-ms") != nullptr;
+  const bool has_max_verifications =
+      FlagValue(argc, argv, "--max-verifications") != nullptr;
+  if (!NumericFlag(argc, argv, "--xi", &opts.xi) ||
+      !NumericFlag(argc, argv, "--delta", &opts.delta) ||
+      !ParseNumber("HERA_THREADS", std::getenv("HERA_THREADS"),
+                   &opts.num_threads) ||
+      !NumericFlag(argc, argv, "--threads", &opts.num_threads) ||
+      !NumericFlag(argc, argv, "--checkpoint-every", &opts.checkpoint_every) ||
+      !NumericFlag(argc, argv, "--deadline-ms", &deadline_ms) ||
+      !NumericFlag(argc, argv, "--max-verifications", &max_verifications) ||
+      !NumericFlag(argc, argv, "--frontier-capacity",
+                   &opts.frontier_capacity)) {
     return Usage();
   }
+  if (const char* v = FlagValue(argc, argv, "--metric")) opts.metric = v;
   const char* dispatch_name = std::getenv("HERA_KERNEL_DISPATCH");
   if (const char* v = FlagValue(argc, argv, "--kernel-dispatch")) {
     dispatch_name = v;
@@ -167,19 +193,9 @@ int CmdResolve(int argc, char** argv) {
   if (const char* v = FlagValue(argc, argv, "--checkpoint-dir")) {
     opts.checkpoint_dir = v;
   }
-  if (const char* v = FlagValue(argc, argv, "--checkpoint-every")) {
-    opts.checkpoint_every = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--deadline-ms")) {
-    opts.guard.WithTimeoutMs(std::atof(v));
-  }
+  if (has_deadline) opts.guard.WithTimeoutMs(deadline_ms);
   opts.progressive = HasFlag(argc, argv, "--progressive");
-  if (const char* v = FlagValue(argc, argv, "--max-verifications")) {
-    opts.guard.WithMaxVerifications(std::strtoull(v, nullptr, 10));
-  }
-  if (const char* v = FlagValue(argc, argv, "--frontier-capacity")) {
-    opts.frontier_capacity = std::strtoull(v, nullptr, 10);
-  }
+  if (has_max_verifications) opts.guard.WithMaxVerifications(max_verifications);
   const bool quiet_early = HasFlag(argc, argv, "--quiet");
   if (opts.progressive && !quiet_early) {
     opts.guard.WithBudgetObserver([](const char* reason) {
@@ -213,8 +229,16 @@ int CmdResolve(int argc, char** argv) {
   if (trace_path != nullptr || timeline_csv_path != nullptr) {
     opts.timeline_interval_ms = 50;
   }
-  if (const char* v = FlagValue(argc, argv, "--timeline-interval-ms")) {
-    opts.timeline_interval_ms = std::strtoull(v, nullptr, 10);
+  if (!NumericFlag(argc, argv, "--timeline-interval-ms",
+                   &opts.timeline_interval_ms)) {
+    return Usage();
+  }
+
+  auto ds = ReadDataset(argv[0]);
+  if (!ds.ok()) {
+    std::fprintf(stderr, "error reading %s: %s\n", argv[0],
+                 ds.status().ToString().c_str());
+    return 3;
   }
 
   StatusOr<HeraResult> result =
@@ -253,10 +277,10 @@ int CmdResolve(int argc, char** argv) {
   const HeraStats& st = result->stats;
   std::fprintf(stderr,
                "records=%zu entities=%zu index=%zu iterations=%zu "
-               "comparisons=%zu direct=%zu merges=%zu backend=%s time=%.1fms\n",
+               "comparisons=%zu direct=%zu merges=%zu time=%.1fms\n",
                ds->size(), result->super_records.size(), st.index_size,
                st.iterations, st.comparisons, st.direct_merges, st.merges,
-               IndexBackendToString(opts.index_backend), st.total_ms);
+               st.total_ms);
   int exit_code = 0;
   if (st.outcome != RunOutcome::kCompleted) {
     std::fprintf(stderr, "outcome=%s (run was governed; labeling is valid)\n",
@@ -328,14 +352,12 @@ int CmdGenerate(int argc, char** argv) {
   std::string out_path = argv[1];
   size_t records = 1000, entities = 150;
   uint64_t seed = 1;
-  if (const char* v = FlagValue(argc, argv, "--records")) {
-    records = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--entities")) {
-    entities = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--seed")) {
-    seed = std::strtoull(v, nullptr, 10);
+  size_t decoys = 0;
+  if (!NumericFlag(argc, argv, "--records", &records) ||
+      !NumericFlag(argc, argv, "--entities", &entities) ||
+      !NumericFlag(argc, argv, "--seed", &seed) ||
+      !NumericFlag(argc, argv, "--decoys", &decoys)) {
+    return Usage();
   }
   if (domain == "ambiguous") {
     // Verification-heavy corpus: every merge costs a KM verification,
@@ -348,9 +370,7 @@ int CmdGenerate(int argc, char** argv) {
     AmbiguityGeneratorConfig config;
     config.num_entities = entities;
     config.seed = seed;
-    if (const char* v = FlagValue(argc, argv, "--decoys")) {
-      config.num_decoys = std::strtoull(v, nullptr, 10);
-    }
+    config.num_decoys = decoys;
     Dataset ds = GenerateAmbiguousDataset(config);
     Status st = WriteDataset(ds, out_path);
     if (!st.ok()) {

@@ -29,7 +29,6 @@ JoinSetup MakeJoinSetup(const HeraOptions& options,
       pf->SetTokenCache(setup.token_cache);
     }
     pf->SetEncodedKernels(options.use_encoded_kernels);
-    pf->SetIndexBackend(options.index_backend, options.flat_pipeline_depth);
     setup.joiner = std::move(pf);
   } else {
     setup.joiner = std::make_unique<NestedLoopJoin>();
@@ -99,14 +98,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     c_frontier_groups_ = m.GetCounter("quality.frontier_groups");
     c_frontier_verified_ = m.GetCounter("quality.frontier_verified");
     c_frontier_deferred_ = m.GetCounter("quality.frontier_deferred");
-    // The backend and its pipeline depth land in the report as gauges,
-    // so a recorded run says which probe path produced its timings.
-    m.GetGauge("index.backend_flat")
-        ->Set(options_.index_backend == IndexBackend::kFlat ? 1.0 : 0.0);
-    m.GetGauge("flat.prefetch_depth")
-        ->Set(static_cast<double>(options_.flat_pipeline_depth));
-    c_flat_probes_ = m.GetCounter("flat.probes_batched");
-    c_flat_rehashes_ = m.GetCounter("flat.rehashes");
     // Which kernel tier actually ran (0 = scalar, 1 = sse4, 2 = avx2)
     // — the resolved tier, not the requested one, so a clamped-down
     // run is visible in its report. The kernel.* counters carry this
@@ -139,10 +130,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       });
       obs::Gauge* g_index = m.GetGauge("index.size");
       sampler_->AddProbe("index_size", [g_index] { return g_index->value(); });
-      obs::Counter* c_flat = c_flat_probes_;
-      sampler_->AddProbe("flat_probes_batched", [c_flat] {
-        return static_cast<double>(c_flat->value());
-      });
       if (token_cache_) {
         std::shared_ptr<TokenCache> tc = token_cache_;
         sampler_->AddProbe("token_cache_entries", [tc] {
@@ -229,10 +216,6 @@ void ResolutionEngine::NoteJoinReport(const JoinReport& report,
     m.GetCounter("simjoin.pruned_length")->Inc(report.pruned_length);
     m.GetCounter("simjoin.pruned_positional")->Inc(report.pruned_positional);
     m.GetCounter("simjoin.pruned_suffix")->Inc(report.pruned_suffix);
-    if (report.flat_probes_batched > 0) {
-      c_flat_probes_->Inc(report.flat_probes_batched);
-    }
-    if (report.flat_rehashes > 0) c_flat_rehashes_->Inc(report.flat_rehashes);
     if (h_worker_busy_us_ != nullptr) {
       for (double us : report.worker_busy_us) h_worker_busy_us_->Observe(us);
     }

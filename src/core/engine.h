@@ -279,10 +279,6 @@ class ResolutionEngine {
   obs::Counter* c_frontier_groups_ = nullptr;
   obs::Counter* c_frontier_verified_ = nullptr;
   obs::Counter* c_frontier_deferred_ = nullptr;
-  /// The join's flat-backend traffic (flat.probes_batched /
-  /// flat.rehashes); join reports Inc these directly.
-  obs::Counter* c_flat_probes_ = nullptr;
-  obs::Counter* c_flat_rehashes_ = nullptr;
   /// Process-global kernel counter values at engine construction; the
   /// kernel.* report counters carry this engine's deltas only.
   KernelCounterSnapshot kernel_counters_base_;

@@ -21,13 +21,6 @@ Status ValidateOptions(const HeraOptions& options) {
     return Status::InvalidArgument("vote_rho must be > 0, got " +
                                    std::to_string(options.vote_rho));
   }
-  if (options.flat_pipeline_depth < 1 ||
-      options.flat_pipeline_depth > FlatTable::kMaxPipelineDepth) {
-    return Status::InvalidArgument(
-        "flat_pipeline_depth must lie in [1, " +
-        std::to_string(FlatTable::kMaxPipelineDepth) + "], got " +
-        std::to_string(options.flat_pipeline_depth));
-  }
   if (options.max_iterations == 0) {
     return Status::InvalidArgument("max_iterations must be > 0");
   }

@@ -11,9 +11,9 @@
 
 #include "common/run_guard.h"
 #include "common/status.h"
-#include "index/flat_table.h"
 #include "sim/kernel_dispatch.h"
 #include "sim/similarity.h"
+#include "simjoin/similarity_join.h"
 
 namespace hera {
 
@@ -70,22 +70,11 @@ struct HeraOptions {
   /// cache degrades to a pass-through. ~48 bytes + key text per entry.
   size_t pair_sim_cache_capacity = 1u << 20;
 
-  /// Hash backend for the join's candidate generation
-  /// (index/flat_table.h): kOrdered keeps the node-based std
-  /// containers; kFlat routes the join's gram dictionary and posting
-  /// table through a flat open-addressing table with batched,
-  /// prefetch-pipelined probes. The value-pair index has one layout
-  /// under either.
-  /// Purely a speed knob: labels, merge_sequence, and snapshots are
-  /// byte-identical either way, at every thread count. See
-  /// docs/performance.md ("Flat index backend").
+  /// Ignored, as is flat_pipeline_depth: the join has one hash layout
+  /// (see IndexBackend). Both remain only for perfbench's traced run,
+  /// which still passes them on, until a benchmark change drops them.
   IndexBackend index_backend = IndexBackend::kOrdered;
-
-  /// In-flight probes per batched flat-table lookup (ignored under
-  /// kOrdered). Must lie in [1, FlatTable::kMaxPipelineDepth]. 8 covers
-  /// DRAM latency on typical cores; raise toward 16–32 for very large
-  /// indexes, lower toward 1–4 when the table fits in L2.
-  size_t flat_pipeline_depth = FlatTable::kDefaultPipelineDepth;
+  size_t flat_pipeline_depth = 8;
 
   /// Enables the schema-based method (Section IV-B): majority voting
   /// over field-match predictions, with decided matchings forced into
@@ -169,7 +158,7 @@ struct HeraOptions {
   /// them up and converges to the same labels as an uninterrupted run.
   /// Ungoverned progressive runs keep canonical order — labels and
   /// merge_sequence stay byte-identical to progressive=false at every
-  /// thread count and index backend. See docs/operational_limits.md
+  /// thread count. See docs/operational_limits.md
   /// ("Progressive mode").
   bool progressive = false;
 

@@ -22,33 +22,6 @@ size_t NextPow2(size_t n) {
 
 }  // namespace
 
-const char* IndexBackendToString(IndexBackend backend) {
-  switch (backend) {
-    case IndexBackend::kOrdered:
-      return "ordered";
-    case IndexBackend::kFlat:
-      return "flat";
-  }
-  return "ordered";
-}
-
-bool IndexBackendFromString(const std::string& name, IndexBackend* out) {
-  if (name == "ordered") {
-    *out = IndexBackend::kOrdered;
-    return true;
-  }
-  if (name == "flat") {
-    *out = IndexBackend::kFlat;
-    return true;
-  }
-  return false;
-}
-
-FlatTable::FlatTable(size_t capacity_hint, size_t pipeline_depth)
-    : depth_(std::min(std::max<size_t>(pipeline_depth, 1), kMaxPipelineDepth)) {
-  if (capacity_hint > 0) Reserve(capacity_hint);
-}
-
 size_t FlatTable::ProbeFrom(Key key, size_t bucket) const {
   size_t b = bucket;
   while (keys_[b] != kEmptyKey && keys_[b] != key) {
@@ -126,7 +99,6 @@ void FlatTable::Rehash(size_t new_capacity) {
   keys_.assign(new_capacity, kEmptyKey);
   vals_.assign(new_capacity, 0);
   mask_ = new_capacity - 1;
-  if (!old_keys.empty()) ++rehashes_;
   for (size_t b = 0; b < old_keys.size(); ++b) {
     if (old_keys[b] == kEmptyKey) continue;
     size_t nb = ProbeFrom(old_keys[b], Bucket(old_keys[b]));
@@ -140,106 +112,6 @@ void FlatTable::EnsureSpace() {
     Rehash(kMinCapacity);
   } else if (OverLoaded(size_ + 1, keys_.size())) {
     Rehash(keys_.size() * 2);
-  }
-}
-
-void FlatTable::FindBatch(std::span<const Key> keys, std::span<Value*> out) {
-  assert(keys.size() == out.size());
-  batched_probes_.Inc(keys.size());
-  if (keys_.empty()) {
-    std::fill(out.begin(), out.end(), nullptr);
-    return;
-  }
-  const size_t n = keys.size();
-  const size_t depth = std::min(depth_, n);
-  size_t start[kMaxPipelineDepth];
-  size_t issued = 0;
-  for (; issued < depth; ++issued) {
-    const size_t b = Bucket(keys[issued]);
-    start[issued % depth] = b;
-    HERA_PREFETCH_READ(&keys_[b]);
-    HERA_PREFETCH_READ(&vals_[b]);
-  }
-  for (size_t done = 0; done < n; ++done) {
-    // Complete probe `done` (its line was prefetched `depth` steps
-    // ago), then refill the pipeline slot it vacated.
-    const size_t b = ProbeFrom(keys[done], start[done % depth]);
-    out[done] = keys_[b] == keys[done] ? &vals_[b] : nullptr;
-    if (issued < n) {
-      const size_t nb = Bucket(keys[issued]);
-      start[issued % depth] = nb;
-      HERA_PREFETCH_READ(&keys_[nb]);
-      HERA_PREFETCH_READ(&vals_[nb]);
-      ++issued;
-    }
-  }
-}
-
-void FlatTable::FindBatch(std::span<const Key> keys,
-                          std::span<const Value*> out) const {
-  assert(keys.size() == out.size());
-  batched_probes_.Inc(keys.size());
-  if (keys_.empty()) {
-    std::fill(out.begin(), out.end(), nullptr);
-    return;
-  }
-  const size_t n = keys.size();
-  const size_t depth = std::min(depth_, n);
-  size_t start[kMaxPipelineDepth];
-  size_t issued = 0;
-  for (; issued < depth; ++issued) {
-    const size_t b = Bucket(keys[issued]);
-    start[issued % depth] = b;
-    HERA_PREFETCH_READ(&keys_[b]);
-    HERA_PREFETCH_READ(&vals_[b]);
-  }
-  for (size_t done = 0; done < n; ++done) {
-    const size_t b = ProbeFrom(keys[done], start[done % depth]);
-    out[done] = keys_[b] == keys[done] ? &vals_[b] : nullptr;
-    if (issued < n) {
-      const size_t nb = Bucket(keys[issued]);
-      start[issued % depth] = nb;
-      HERA_PREFETCH_READ(&keys_[nb]);
-      HERA_PREFETCH_READ(&vals_[nb]);
-      ++issued;
-    }
-  }
-}
-
-void FlatTable::FindOrInsertBatch(std::span<const Key> keys, Value init,
-                                  std::span<Value*> out) {
-  assert(keys.size() == out.size());
-  batched_probes_.Inc(keys.size());
-  // Worst case every key is new: reserving up front means no rehash
-  // mid-batch, so earlier out pointers survive later inserts.
-  Reserve(size_ + keys.size());
-  const size_t n = keys.size();
-  const size_t depth = std::min(depth_, n);
-  size_t start[kMaxPipelineDepth];
-  size_t issued = 0;
-  for (; issued < depth; ++issued) {
-    const size_t b = Bucket(keys[issued]);
-    start[issued % depth] = b;
-    HERA_PREFETCH_WRITE(&keys_[b]);
-    HERA_PREFETCH_WRITE(&vals_[b]);
-  }
-  for (size_t done = 0; done < n; ++done) {
-    const Key key = keys[done];
-    assert(key != kEmptyKey);
-    const size_t b = ProbeFrom(key, start[done % depth]);
-    if (keys_[b] != key) {
-      keys_[b] = key;
-      vals_[b] = init;
-      ++size_;
-    }
-    out[done] = &vals_[b];
-    if (issued < n) {
-      const size_t nb = Bucket(keys[issued]);
-      start[issued % depth] = nb;
-      HERA_PREFETCH_WRITE(&keys_[nb]);
-      HERA_PREFETCH_WRITE(&vals_[nb]);
-      ++issued;
-    }
   }
 }
 

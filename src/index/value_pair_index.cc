@@ -20,11 +20,6 @@ bool ValueBefore(const ValueLabel& x, const ValueLabel& y) {
 
 }  // namespace
 
-void ValuePairIndex::SetBackend(IndexBackend backend,
-                                size_t /*pipeline_depth*/) {
-  backend_ = backend;
-}
-
 void ValuePairIndex::Clear() {
   groups_ = std::vector<Group>();
   free_groups_ = std::vector<uint32_t>();

@@ -77,13 +77,9 @@ class ValuePairIndex {
   ValuePairIndex(ValuePairIndex&&) noexcept = default;
   ValuePairIndex& operator=(ValuePairIndex&&) noexcept = default;
 
-  /// Only records `backend` so backend() can report it; the index has
-  /// one storage layout whatever the backend (the backend picks the
-  /// join's hash structures, see PrefixFilterJoin::SetIndexBackend).
-  /// `pipeline_depth` is ignored.
-  void SetBackend(IndexBackend backend,
-                  size_t pipeline_depth = FlatTable::kDefaultPipelineDepth);
-  IndexBackend backend() const { return backend_; }
+  /// Ignored (see IndexBackend); remains only for perfbench's traced
+  /// run until a benchmark change drops the call.
+  void SetBackend(IndexBackend /*backend*/, size_t /*pipeline_depth*/) {}
 
   /// Installs resource ceilings (0 = unlimited): `max_pairs` caps the
   /// total pair count, `max_per_record` caps one record's posting list
@@ -235,7 +231,6 @@ class ValuePairIndex {
     return {s.pid, labels_[s.ga], labels_[s.gb], s.sim};
   }
 
-  IndexBackend backend_ = IndexBackend::kOrdered;
   std::vector<Group> groups_;
   std::vector<uint32_t> free_groups_;
   /// GroupKey(rid1, rid2) -> index into groups_.

@@ -16,6 +16,14 @@
 #include "text/normalize.h"
 #include "text/qgram.h"
 
+// Software prefetch hint for the probe loop; a no-op on compilers
+// without __builtin_prefetch.
+#if defined(__GNUC__) || defined(__clang__)
+#define HERA_PREFETCH_READ(addr) __builtin_prefetch((addr), 0, 1)
+#else
+#define HERA_PREFETCH_READ(addr) ((void)sizeof(addr))
+#endif
+
 namespace hera {
 
 std::vector<ValuePair> SimilarityJoin::Join(
@@ -282,68 +290,31 @@ struct Posting {
   size_t pos;
 };
 
-/// The join's token -> posting-list table. The ordered backend keys the
-/// lists in an unordered_map; the flat backend keeps them in a dense
-/// slab reached through a FlatTable, so each probe's lookups batch
-/// through the prefetch pipeline. List contents, their order, and shed
-/// decisions are identical either way.
+/// The join's token -> posting-list table.
 class PostingTable {
  public:
   using List = std::vector<Posting>;
 
-  /// Per-worker scratch for Gather's batched flat lookup.
-  struct Scratch {
-    std::vector<uint64_t> keys;
-    std::vector<const uint64_t*> slots;
-  };
-
-  PostingTable(IndexBackend backend, size_t pipeline_depth, size_t max_posting)
-      : flat_(backend == IndexBackend::kFlat),
-        max_posting_(max_posting),
-        slot_of_(0, pipeline_depth) {}
+  explicit PostingTable(size_t max_posting) : max_posting_(max_posting) {}
 
   /// Appends (set, pos) to the list of each token ids[pos], pos < len.
   /// A list at the posting ceiling drops the entry and counts it shed.
   void Add(const std::vector<uint32_t>& ids, size_t len, size_t set) {
-    if (flat_) {
-      keys_.assign(ids.begin(), ids.begin() + len);
-      slots_.resize(len);
-      slot_of_.FindOrInsertBatch(keys_, kNoSlot, slots_);
-    }
     for (size_t pos = 0; pos < len; ++pos) {
-      List* list;
-      if (flat_) {
-        uint64_t* slot = slots_[pos];
-        if (*slot == kNoSlot) {
-          *slot = store_.size();
-          store_.emplace_back();
-        }
-        list = &store_[*slot];
-      } else {
-        list = &lists_[ids[pos]];
-      }
-      if (max_posting_ > 0 && list->size() >= max_posting_) {
+      List& list = lists_[ids[pos]];
+      if (max_posting_ > 0 && list.size() >= max_posting_) {
         ++shed_;
         continue;
       }
-      list->push_back({set, pos});
+      list.push_back({set, pos});
     }
   }
 
   /// Sets (*lists)[k] to the list of token ids[k], k < prefix, or null
   /// when the token has none. Safe to call concurrently once built.
   void Gather(const std::vector<uint32_t>& ids, size_t prefix,
-              Scratch* scratch, std::vector<const List*>* lists) const {
+              std::vector<const List*>* lists) const {
     lists->clear();
-    if (flat_) {
-      scratch->keys.assign(ids.begin(), ids.begin() + prefix);
-      scratch->slots.resize(prefix);
-      slot_of_.FindBatch(scratch->keys, scratch->slots);
-      for (const uint64_t* slot : scratch->slots) {
-        lists->push_back(slot != nullptr ? &store_[*slot] : nullptr);
-      }
-      return;
-    }
     for (size_t k = 0; k < prefix; ++k) {
       auto it = lists_.find(ids[k]);
       lists->push_back(it == lists_.end() ? nullptr : &it->second);
@@ -351,20 +322,11 @@ class PostingTable {
   }
 
   size_t shed() const { return shed_; }
-  uint64_t batched_probes() const { return slot_of_.batched_probes(); }
-  uint64_t rehashes() const { return slot_of_.rehashes(); }
 
  private:
-  static constexpr uint64_t kNoSlot = ~0ull;
-
-  const bool flat_;
   const size_t max_posting_;
   size_t shed_ = 0;
-  std::unordered_map<uint32_t, List> lists_;  // Ordered backend.
-  FlatTable slot_of_;                         // Flat: token id -> slot.
-  std::vector<List> store_;                   // Flat: the lists.
-  std::vector<uint64_t> keys_;                // Add's batch scratch.
-  std::vector<uint64_t*> slots_;
+  std::unordered_map<uint32_t, List> lists_;
 };
 
 }  // namespace
@@ -643,7 +605,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // Dictionary build + encoding (serial): both mutate the dictionary.
   // Ids follow ascending global gram frequency, so they do not depend
   // on the order grams are added in.
-  QgramDictionary dict(q_, backend_, pipeline_depth_);
+  QgramDictionary dict(q_);
   for (size_t k = 0; k < texts.size(); ++k) dict.AddGrams(grams_of(k));
   dict.Freeze();
   std::vector<TokenSet> base_sets, probe_sets;
@@ -670,7 +632,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // at its own position (cj >= pi below) sees exactly the lists as they
   // stood when a serial build-while-probing loop reached it. Probing a
   // base indexes every base token, so only the probe's prefix filters.
-  PostingTable postings(backend_, pipeline_depth_, guard.max_posting_list());
+  PostingTable postings(guard.max_posting_list());
   for (size_t si = 0; si < base_sets.size(); ++si) {
     const std::vector<uint32_t>& ids = base_sets[si].ids;
     postings.Add(ids, self ? PrefixLen(ids.size(), filter_xi) : ids.size(),
@@ -681,14 +643,14 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // prefix token with it and passing the length filter: one-sided
   // (|y| >= filter_xi * |x|) for the self-join, whose earlier sets are
   // never longer, two-sided against a base. Dedup markers, candidate
-  // buffers, and list/key scratch are per-worker and reused across
+  // buffers, and list buffers are per-worker and reused across
   // chunks; marker values are probe indices, which are globally
   // unique, so no resets are needed. Each probe gathers its posting
   // lists first, which sizes the candidate buffer from the posting
-  // lengths and lets the flat path prefetch the list heads before the
-  // scan. The guard is hoisted to a per-probe stride, weighted by the
-  // probe's work: its prefix, its candidate batch and, against a base,
-  // the gathered list lengths too. Full base lists can be long while few
+  // lengths and prefetches the list heads before the scan. The guard
+  // is hoisted to a per-probe stride, weighted by the probe's work: its
+  // prefix, its candidate batch and, against a base, the gathered list
+  // lengths too. Full base lists can be long while few
   // entries survive the filters, so that scan is ticked before it runs;
   // no candidate is counted yet there, so shed accounting stays exact.
   {
@@ -699,7 +661,6 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
         nworkers, std::vector<size_t>(base_sets.size(), SIZE_MAX));
     std::vector<std::vector<size_t>> cand_bufs(nworkers);
     std::vector<std::vector<const PostingTable::List*>> list_bufs(nworkers);
-    std::vector<PostingTable::Scratch> scratch(nworkers);
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, n, grain,
@@ -723,7 +684,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                 (self || filter_xi <= 0.0)
                     ? std::numeric_limits<double>::infinity()
                     : static_cast<double>(len_x) / filter_xi;
-            postings.Gather(x.ids, prefix, &scratch[worker], &lists);
+            postings.Gather(x.ids, prefix, &lists);
             size_t expected = 0;
             for (const PostingTable::List* list : lists) {
               if (list == nullptr) continue;
@@ -810,11 +771,6 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
       self ? nb * (nb - (nb == 0 ? 0 : 1)) / 2 : probes.size() * nb;
   FinishReport(report, totals, stop.load(std::memory_order_relaxed),
                postings.shed(), token_pairs, *out);
-  if (report != nullptr) {
-    report->flat_probes_batched =
-        dict.flat_batched_probes() + postings.batched_probes();
-    report->flat_rehashes = dict.flat_rehashes() + postings.rehashes();
-  }
   return Status::OK();
 }
 

@@ -10,7 +10,6 @@
 
 #include "common/run_guard.h"
 #include "common/status.h"
-#include "index/flat_table.h"
 #include "parallel/thread_pool.h"
 #include "record/super_record.h"
 #include "sim/pair_cache.h"
@@ -18,6 +17,12 @@
 #include "text/token_cache.h"
 
 namespace hera {
+
+/// The join's hash layout. There is one; HeraOptions::index_backend and
+/// the setters that take it are ignored. They remain only for
+/// perfbench's traced run, which still names them, until a benchmark
+/// change drops those calls.
+enum class IndexBackend { kOrdered };
 
 /// One value with its (rid, fid, vid) label.
 struct LabeledValue {
@@ -73,12 +78,6 @@ struct JoinReport {
   size_t pruned_length = 0;
   size_t pruned_positional = 0;
   size_t pruned_suffix = 0;
-  /// Keys probed through the flat backend's batched entry points
-  /// (gram dictionary + posting table); 0 under the ordered backend.
-  size_t flat_probes_batched = 0;
-  /// Flat-table capacity doublings during this join's dictionary and
-  /// posting-table builds; 0 under the ordered backend.
-  size_t flat_rehashes = 0;
   /// Worker threads the join's parallel phases ran on (1 = serial).
   size_t threads_used = 1;
   /// Per-worker busy microseconds summed across the join's parallel
@@ -224,7 +223,7 @@ class NestedLoopJoin : public SimilarityJoin {
 /// value order and ascending set size), and within one probe in
 /// posting-scan order. ValuePairIndex assigns pids in this order, and
 /// pids break ties among equal-similarity pairs, so the order is
-/// byte-identical across thread counts and index backends.
+/// byte-identical across thread counts.
 ///
 /// The filter stack is *exact* (no false negatives) when the metric is
 /// q-gram Jaccard with the same q — HERA's default; the positional and
@@ -254,22 +253,9 @@ class PrefixFilterJoin : public SimilarityJoin {
   /// must be built with the same q).
   int q() const { return q_; }
 
-  /// Selects the hash backend for the join's gram dictionary and token
-  /// posting table. kFlat batches each record's prefix-token probes
-  /// through FlatTable's software-prefetch pipeline (index/flat_table.h)
-  /// with `pipeline_depth` probes in flight; candidate order, emitted
-  /// pairs, and shed decisions are byte-identical to kOrdered — the
-  /// backend is a speed knob only. The gram dictionary falls back to
-  /// ordered when q > kMaxPackedGramLen (the posting table, keyed on
-  /// integer ids, stays flat).
-  void SetIndexBackend(
-      IndexBackend backend,
-      size_t pipeline_depth = FlatTable::kDefaultPipelineDepth) {
-    backend_ = backend;
-    pipeline_depth_ = pipeline_depth;
-  }
-  IndexBackend index_backend() const { return backend_; }
-  size_t pipeline_depth() const { return pipeline_depth_; }
+  /// Ignored (see IndexBackend); remains only for perfbench's traced
+  /// run until a benchmark change drops the call.
+  void SetIndexBackend(IndexBackend /*backend*/, size_t /*pipeline_depth*/) {}
 
   /// Toggles the integer-encoded verification kernels (sim/kernel.h)
   /// and the PPJoin+-style positional/suffix filters that ride on
@@ -307,8 +293,6 @@ class PrefixFilterJoin : public SimilarityJoin {
   int q_;
   double filter_slack_;
   bool encoded_kernels_ = true;
-  IndexBackend backend_ = IndexBackend::kOrdered;
-  size_t pipeline_depth_ = FlatTable::kDefaultPipelineDepth;
   std::shared_ptr<TokenCache> cache_;
 };
 

@@ -2,17 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
+#include <utility>
 
 namespace hera {
-
-namespace {
-
-/// Value sentinel for "id not yet assigned" in the flat id map (ids
-/// are uint32, so the all-ones value can never be a real id).
-constexpr uint64_t kUnassignedId = ~0ull;
-
-}  // namespace
 
 std::vector<std::string> QgramSet(std::string_view s, int q) {
   assert(q >= 1);
@@ -58,114 +50,34 @@ double JaccardOfSets(const std::vector<std::string>& a,
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-uint64_t PackGram(std::string_view gram) {
-  assert(gram.size() <= kMaxPackedGramLen);
-  uint64_t packed = static_cast<uint64_t>(gram.size()) << 56;
-  for (size_t i = 0; i < gram.size(); ++i) {
-    packed |= static_cast<uint64_t>(static_cast<unsigned char>(gram[i]))
-              << (48 - 8 * i);
-  }
-  return packed;
-}
-
-std::string UnpackGram(uint64_t packed) {
-  const size_t len = static_cast<size_t>(packed >> 56);
-  assert(len <= kMaxPackedGramLen);
-  std::string gram(len, '\0');
-  for (size_t i = 0; i < len; ++i) {
-    gram[i] = static_cast<char>((packed >> (48 - 8 * i)) & 0xff);
-  }
-  return gram;
-}
-
-QgramDictionary::QgramDictionary(int q, IndexBackend backend,
-                                 size_t pipeline_depth)
-    : q_(q),
-      backend_(backend == IndexBackend::kFlat &&
-                       static_cast<size_t>(q) <= kMaxPackedGramLen
-                   ? IndexBackend::kFlat
-                   : IndexBackend::kOrdered),
-      counts_flat_(0, pipeline_depth),
-      id_of_flat_(0, pipeline_depth) {}
-
 void QgramDictionary::Add(std::string_view s) {
   AddGrams(QgramSet(s, q_));
 }
 
 void QgramDictionary::AddGrams(const std::vector<std::string>& grams) {
   assert(!frozen_);
-  if (!flat()) {
-    for (const std::string& g : grams) ++counts_[g];
-    return;
-  }
-  scratch_keys_.clear();
-  for (const std::string& g : grams) scratch_keys_.push_back(PackGram(g));
-  scratch_slots_.resize(scratch_keys_.size());
-  counts_flat_.FindOrInsertBatch(scratch_keys_, 0, scratch_slots_);
-  for (uint64_t* count : scratch_slots_) ++*count;
+  for (const std::string& g : grams) ++counts_[g];
 }
 
 void QgramDictionary::Freeze() {
   assert(!frozen_);
-  if (!flat()) {
-    std::vector<std::pair<uint64_t, const std::string*>> by_freq;
-    by_freq.reserve(counts_.size());
-    for (const auto& [gram, count] : counts_) by_freq.emplace_back(count, &gram);
-    std::sort(by_freq.begin(), by_freq.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return *a.second < *b.second;  // Tie-break for determinism.
-              });
-    for (const auto& [count, gram] : by_freq) {
-      (void)count;
-      id_of_.emplace(*gram, next_id_++);
-    }
-    counts_.clear();
-    frozen_ = true;
-    return;
-  }
-  // Packed-key order is length-major, not lexicographic, so the
-  // determinism tie-break must compare the unpacked gram strings —
-  // that keeps flat ids identical to the ordered backend's.
-  std::vector<std::tuple<uint64_t, std::string, uint64_t>> by_freq;
-  by_freq.reserve(counts_flat_.size());
-  counts_flat_.ForEach([&](uint64_t packed, uint64_t count) {
-    by_freq.emplace_back(count, UnpackGram(packed), packed);
-  });
+  std::vector<std::pair<uint64_t, const std::string*>> by_freq;
+  by_freq.reserve(counts_.size());
+  for (const auto& [gram, count] : counts_) by_freq.emplace_back(count, &gram);
   std::sort(by_freq.begin(), by_freq.end(),
             [](const auto& a, const auto& b) {
-              if (std::get<0>(a) != std::get<0>(b)) {
-                return std::get<0>(a) < std::get<0>(b);
-              }
-              return std::get<1>(a) < std::get<1>(b);
+              if (a.first != b.first) return a.first < b.first;
+              return *a.second < *b.second;  // Tie-break for determinism.
             });
-  id_of_flat_.Reserve(by_freq.size());
-  for (const auto& [count, gram, packed] : by_freq) {
+  for (const auto& [count, gram] : by_freq) {
     (void)count;
-    (void)gram;
-    uint64_t* slot = id_of_flat_.FindOrInsert(packed, next_id_);
-    assert(*slot == next_id_);
-    (void)slot;
-    ++next_id_;
+    id_of_.emplace(*gram, next_id_++);
   }
-  counts_flat_.Clear();
+  counts_.clear();
   frozen_ = true;
 }
 
 std::vector<uint32_t> QgramDictionary::Encode(std::string_view s) {
-  assert(frozen_);
-  if (!flat()) {
-    std::vector<uint32_t> ids;
-    for (auto& g : QgramSet(s, q_)) {
-      auto it = id_of_.find(g);
-      if (it == id_of_.end()) {
-        it = id_of_.emplace(std::move(g), next_id_++).first;
-      }
-      ids.push_back(it->second);
-    }
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  }
   return EncodeGrams(QgramSet(s, q_));
 }
 
@@ -174,26 +86,12 @@ std::vector<uint32_t> QgramDictionary::EncodeGrams(
   assert(frozen_);
   std::vector<uint32_t> ids;
   ids.reserve(grams.size());
-  if (!flat()) {
-    for (const std::string& g : grams) {
-      auto it = id_of_.find(g);
-      if (it == id_of_.end()) {
-        it = id_of_.emplace(g, next_id_++).first;
-      }
-      ids.push_back(it->second);
+  for (const std::string& g : grams) {
+    auto it = id_of_.find(g);
+    if (it == id_of_.end()) {
+      it = id_of_.emplace(g, next_id_++).first;
     }
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  }
-  scratch_keys_.clear();
-  for (const std::string& g : grams) scratch_keys_.push_back(PackGram(g));
-  scratch_slots_.resize(scratch_keys_.size());
-  id_of_flat_.FindOrInsertBatch(scratch_keys_, kUnassignedId, scratch_slots_);
-  // Fresh ids go to unknown grams in encounter order — the same order
-  // the ordered backend's in-loop emplace assigns them.
-  for (uint64_t* slot : scratch_slots_) {
-    if (*slot == kUnassignedId) *slot = next_id_++;
-    ids.push_back(static_cast<uint32_t>(*slot));
+    ids.push_back(it->second);
   }
   std::sort(ids.begin(), ids.end());
   return ids;

@@ -15,8 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/flat_table.h"
-
 namespace hera {
 
 /// Extracts the set of q-grams of `s`, sorted and deduplicated.
@@ -34,38 +32,13 @@ double JaccardOfSets(const std::vector<std::string>& a,
 size_t OverlapOfSets(const std::vector<std::string>& a,
                      const std::vector<std::string>& b);
 
-/// Longest gram the flat dictionary backend can pack losslessly into a
-/// uint64 key. Grams at q <= 7 always fit (short strings yield one
-/// whole-string gram, but QgramSet only emits those below q).
-inline constexpr size_t kMaxPackedGramLen = 7;
-
-/// Packs a gram of length <= kMaxPackedGramLen into a uint64: length
-/// tag in the top byte, gram bytes big-endian below it. The packing is
-/// injective (no collisions), so a flat dictionary keyed on it is
-/// exact. Packed order is NOT string order — unpack before comparing
-/// lexicographically.
-uint64_t PackGram(std::string_view gram);
-
-/// Inverse of PackGram.
-std::string UnpackGram(uint64_t packed);
-
 /// \brief Interns q-grams as dense integer ids ordered by ascending
 /// global frequency (the canonical ordering for prefix filtering).
 ///
 /// Build in two passes: Add() every string, then Freeze(), then Encode().
-///
-/// The backend selects the gram -> count/id map: ordered keeps the
-/// original std::unordered_map<std::string, ...>; flat packs grams into
-/// uint64 keys (exact; see PackGram) and probes a FlatTable through its
-/// batched prefetch pipeline. Ids assigned are identical under both —
-/// Freeze sorts by (count, gram string) either way, and Encode assigns
-/// fresh ids in encounter order — so the backend is a speed knob only.
-/// Falls back to ordered when q > kMaxPackedGramLen.
 class QgramDictionary {
  public:
-  explicit QgramDictionary(
-      int q, IndexBackend backend = IndexBackend::kOrdered,
-      size_t pipeline_depth = FlatTable::kDefaultPipelineDepth);
+  explicit QgramDictionary(int q) : q_(q) {}
 
   /// Counts the grams of one string (pass 1).
   void Add(std::string_view s);
@@ -89,36 +62,14 @@ class QgramDictionary {
   std::vector<uint32_t> EncodeGrams(const std::vector<std::string>& grams);
 
   int q() const { return q_; }
-  size_t vocab_size() const {
-    return flat() ? id_of_flat_.size() : id_of_.size();
-  }
+  size_t vocab_size() const { return id_of_.size(); }
   bool frozen() const { return frozen_; }
 
-  /// The backend actually in use (flat requests fall back to ordered
-  /// when q > kMaxPackedGramLen).
-  IndexBackend backend() const { return backend_; }
-
-  /// Flat-table traffic for the obs layer (0 under ordered).
-  uint64_t flat_batched_probes() const {
-    return counts_flat_.batched_probes() + id_of_flat_.batched_probes();
-  }
-  uint64_t flat_rehashes() const {
-    return counts_flat_.rehashes() + id_of_flat_.rehashes();
-  }
-
  private:
-  bool flat() const { return backend_ == IndexBackend::kFlat; }
-
   int q_;
-  IndexBackend backend_;
   bool frozen_ = false;
   std::unordered_map<std::string, uint64_t> counts_;
   std::unordered_map<std::string, uint32_t> id_of_;
-  FlatTable counts_flat_;  // packed gram -> count.
-  FlatTable id_of_flat_;   // packed gram -> id.
-  // Scratch buffers reused across batched calls.
-  std::vector<uint64_t> scratch_keys_;
-  std::vector<uint64_t*> scratch_slots_;
   uint32_t next_id_ = 0;
 };
 

@@ -764,20 +764,15 @@ TEST(KernelEngineTest, DispatchTierNeverChangesTheRun) {
     RunSignature want = SignatureOf(*want_result);
     for (KernelDispatch tier : kSweepTiers) {
       for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-        for (IndexBackend backend :
-             {IndexBackend::kOrdered, IndexBackend::kFlat}) {
-          HeraOptions opts;
-          opts.kernel_dispatch = tier;
-          opts.num_threads = threads;
-          opts.index_backend = backend;
-          auto got = Hera(opts).Run(ds);
-          ASSERT_TRUE(got.ok());
-          ExpectSameSignature(
-              want, SignatureOf(*got),
-              std::string("tier=") + KernelDispatchToString(tier) +
-                  " threads=" + std::to_string(threads) + " backend=" +
-                  (backend == IndexBackend::kFlat ? "flat" : "ordered"));
-        }
+        HeraOptions opts;
+        opts.kernel_dispatch = tier;
+        opts.num_threads = threads;
+        auto got = Hera(opts).Run(ds);
+        ASSERT_TRUE(got.ok());
+        ExpectSameSignature(want, SignatureOf(*got),
+                            std::string("tier=") +
+                                KernelDispatchToString(tier) +
+                                " threads=" + std::to_string(threads));
       }
     }
   }

@@ -452,20 +452,14 @@ TEST(PersistResumeTest, ResumeReproducesLabelsAtEveryBudgetCut) {
   ASSERT_GE(total_verifications, 8u)
       << "dataset too easy to exercise budget cuts";
 
-  // Serial + ordered sweeps a dense grid of cut points; the other
-  // backend/thread combinations spot-check a coarse set — the cut
-  // machinery is identical, only join/phase-A internals differ.
+  // Serial sweeps a dense grid of cut points; the threaded run
+  // spot-checks a coarse set — the cut machinery is identical, only
+  // join/phase-A internals differ.
   struct Config {
-    IndexBackend backend;
     size_t threads;
     bool dense;
   };
-  const Config configs[] = {
-      {IndexBackend::kOrdered, 0, true},
-      {IndexBackend::kOrdered, 4, false},
-      {IndexBackend::kFlat, 0, false},
-      {IndexBackend::kFlat, 4, false},
-  };
+  const Config configs[] = {{0, true}, {4, false}};
   for (const Config& config : configs) {
     std::vector<size_t> cuts;
     if (config.dense) {
@@ -476,7 +470,6 @@ TEST(PersistResumeTest, ResumeReproducesLabelsAtEveryBudgetCut) {
     }
     for (size_t k : cuts) {
       HeraOptions opts = base;
-      opts.index_backend = config.backend;
       opts.num_threads = config.threads;
       opts.progressive = true;
       opts.checkpoint_dir = TestDir("budget_cut_" + std::to_string(k));
@@ -495,9 +488,7 @@ TEST(PersistResumeTest, ResumeReproducesLabelsAtEveryBudgetCut) {
       EXPECT_EQ(resumed->stats.outcome, RunOutcome::kCompleted)
           << "budget " << k;
       EXPECT_EQ(resumed->entity_of, ref->entity_of)
-          << "budget " << k << " backend "
-          << (config.backend == IndexBackend::kFlat ? "flat" : "ordered")
-          << " threads " << config.threads;
+          << "budget " << k << " threads " << config.threads;
       std::filesystem::remove_all(opts.checkpoint_dir);
     }
   }

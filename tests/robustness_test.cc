@@ -462,30 +462,23 @@ Dataset MakeAmbiguous(size_t decoys = 20) {
 // Ungoverned progressive is a no-op by construction: the frontier only
 // engages when a budget, deadline, or token could cut the run, so with
 // none of those the pass order stays canonical and labels AND the merge
-// sequence are byte-identical to the default — at every thread count
-// and on both index backends.
+// sequence are byte-identical to the default — at every thread count.
 TEST(ProgressiveTest, UngovernedRunIsByteIdenticalToDefault) {
   Dataset ds = MakePublications();
-  for (IndexBackend backend : {IndexBackend::kOrdered, IndexBackend::kFlat}) {
-    for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-      HeraOptions base;
-      base.index_backend = backend;
-      base.num_threads = threads;
-      auto plain = Hera(base).Run(ds);
-      ASSERT_TRUE(plain.ok()) << plain.status();
+  for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
+    HeraOptions base;
+    base.num_threads = threads;
+    auto plain = Hera(base).Run(ds);
+    ASSERT_TRUE(plain.ok()) << plain.status();
 
-      HeraOptions popts = base;
-      popts.progressive = true;
-      auto prog = Hera(popts).Run(ds);
-      ASSERT_TRUE(prog.ok()) << prog.status();
-      EXPECT_EQ(prog->stats.outcome, RunOutcome::kCompleted);
-      EXPECT_EQ(prog->entity_of, plain->entity_of)
-          << "backend=" << (backend == IndexBackend::kFlat ? "flat" : "ordered")
-          << " threads=" << threads;
-      EXPECT_EQ(prog->stats.merge_sequence, plain->stats.merge_sequence)
-          << "backend=" << (backend == IndexBackend::kFlat ? "flat" : "ordered")
-          << " threads=" << threads;
-    }
+    HeraOptions popts = base;
+    popts.progressive = true;
+    auto prog = Hera(popts).Run(ds);
+    ASSERT_TRUE(prog.ok()) << prog.status();
+    EXPECT_EQ(prog->stats.outcome, RunOutcome::kCompleted);
+    EXPECT_EQ(prog->entity_of, plain->entity_of) << "threads=" << threads;
+    EXPECT_EQ(prog->stats.merge_sequence, plain->stats.merge_sequence)
+        << "threads=" << threads;
   }
 }
 

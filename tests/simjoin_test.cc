@@ -287,7 +287,7 @@ TEST(PrefixFilterJoinTest, ReportedSimilaritiesMatchMetric) {
 // These cases pin both entry points' pair lists (labels and the bit
 // pattern of each similarity, in emission order) and their report
 // counters as FNV-1a fingerprints. Every case must give the same
-// fingerprint on both index backends and at 1 and 4 threads.
+// fingerprint at 1 and 4 threads.
 
 class Fnv1a {
  public:
@@ -428,42 +428,38 @@ TEST(JoinOrderPinTest, EmissionOrderAndCountersArePinned) {
     }
     RunGuard guard;
     if (c.max_posting > 0) guard.WithMaxPostingList(c.max_posting);
-    for (IndexBackend backend : {IndexBackend::kOrdered, IndexBackend::kFlat}) {
-      for (size_t threads : {1u, 4u}) {
-        std::unique_ptr<ThreadPool> pool;
-        if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-        PrefixFilterJoin join(c.q);
-        join.SetExecutor(pool.get());
-        join.SetIndexBackend(backend);
-        if (c.pair_cache) {
-          join.SetPairSimCache(std::make_shared<PairSimCache>(metric->Name()));
-        }
-        if (c.token_cache) {
-          join.SetTokenCache(std::make_shared<TokenCache>(c.q));
-        }
-        const std::string where = std::string(c.name) + " backend=" +
-                                  IndexBackendToString(backend) +
-                                  " threads=" + std::to_string(threads);
-
-        std::vector<ValuePair> out;
-        JoinReport report;
-        ASSERT_TRUE(
-            join.Join(c.values, *metric, c.xi, guard, &out, &report).ok());
-        EXPECT_FALSE(out.empty()) << where;
-        EXPECT_EQ(c.max_posting > 0, report.shed_posting_entries > 0) << where;
-        const uint64_t join_fp = Fingerprint(out, report);
-        EXPECT_EQ(join_fp, c.join_fp)
-            << where << " Join fingerprint 0x" << std::hex << join_fp;
-
-        JoinReport ab_report;
-        ASSERT_TRUE(join.JoinAB(probe, base, *metric, c.xi, guard, &out,
-                                &ab_report)
-                        .ok());
-        EXPECT_FALSE(out.empty()) << where;
-        const uint64_t ab_fp = Fingerprint(out, ab_report);
-        EXPECT_EQ(ab_fp, c.join_ab_fp)
-            << where << " JoinAB fingerprint 0x" << std::hex << ab_fp;
+    for (size_t threads : {1u, 4u}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      PrefixFilterJoin join(c.q);
+      join.SetExecutor(pool.get());
+      if (c.pair_cache) {
+        join.SetPairSimCache(std::make_shared<PairSimCache>(metric->Name()));
       }
+      if (c.token_cache) {
+        join.SetTokenCache(std::make_shared<TokenCache>(c.q));
+      }
+      const std::string where =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+
+      std::vector<ValuePair> out;
+      JoinReport report;
+      ASSERT_TRUE(
+          join.Join(c.values, *metric, c.xi, guard, &out, &report).ok());
+      EXPECT_FALSE(out.empty()) << where;
+      EXPECT_EQ(c.max_posting > 0, report.shed_posting_entries > 0) << where;
+      const uint64_t join_fp = Fingerprint(out, report);
+      EXPECT_EQ(join_fp, c.join_fp)
+          << where << " Join fingerprint 0x" << std::hex << join_fp;
+
+      JoinReport ab_report;
+      ASSERT_TRUE(join.JoinAB(probe, base, *metric, c.xi, guard, &out,
+                              &ab_report)
+                      .ok());
+      EXPECT_FALSE(out.empty()) << where;
+      const uint64_t ab_fp = Fingerprint(out, ab_report);
+      EXPECT_EQ(ab_fp, c.join_ab_fp)
+          << where << " JoinAB fingerprint 0x" << std::hex << ab_fp;
     }
   }
 }
