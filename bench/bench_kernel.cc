@@ -334,7 +334,7 @@ std::vector<MyersRow> RunMyers() {
     });
     row.myers_ns = NsPerOp(iters, [&](size_t i) {
       size_t p = i % kPool;
-      return LevenshteinDistanceMyers(as[p], bs[p]);
+      return LevenshteinDistance(as[p], bs[p]);
     });
     row.speedup = row.dp_ns / row.myers_ns;
     std::printf("%6zu %12.1f %12.1f %9.2fx\n", row.len, row.dp_ns,

@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,7 +12,6 @@
 #include "core/verifier.h"
 #include "index/bounds.h"
 #include "obs/metrics.h"
-#include "parallel/parallel_for.h"
 #include "sim/kernel.h"
 
 namespace hera {
@@ -532,137 +530,9 @@ Status ResolutionEngine::IterateToFixpoint() {
 
     std::unordered_map<uint32_t, bool> merged_this_pass;
 
-    // Phase A (speculative, parallel): with a pool installed, every
-    // group's pair lookup, bound computation, and KM verification runs
-    // across the workers against the pass-start state. Groups whose
-    // state a merge later invalidates simply discard their plan and
-    // recompute serially in Phase B, so the merge sequence stays
-    // byte-identical to a serial run (see docs/performance.md).
-    struct GroupPlan {
-      uint32_t i = 0, j = 0;  // Pass-start roots, i < j.
-      bool same_root = false;
-      bool loaded = false;    // pairs (and bounds, if any) computed.
-      bool verified = false;  // vr holds a speculative KM result.
-      std::vector<IndexedPair> pairs;
-      BoundResult bounds;
-      VerifyResult vr;
-      double verify_us = 0.0;
-    };
-    std::vector<GroupPlan> plans;
-    const bool parallel_phase_a =
-        pool_ != nullptr && pool_->size() > 1 && groups.size() > 1;
-    // Progressive mode needs every group's similarity upper bound
-    // before Phase B starts (the frontier is ordered by it), so it
-    // forces plan-building even on the serial path.
-    if ((parallel_phase_a || options_.progressive) && !groups.empty()) {
-      // Roots are resolved serially: Find path-compresses.
-      plans.resize(groups.size());
-      for (size_t k = 0; k < groups.size(); ++k) {
-        uint32_t i = uf_.Find(groups[k].first);
-        uint32_t j = uf_.Find(groups[k].second);
-        if (i > j) std::swap(i, j);
-        plans[k].i = i;
-        plans[k].j = j;
-        plans[k].same_root = i == j;
-      }
-    }
-    if (parallel_phase_a) {
-      std::atomic<bool> stop{false};
-      const double phase_a_t0 = trace_ ? trace_->tracer().ElapsedMs() : 0.0;
-      ParallelRunStats pstats = ParallelChunks(
-          pool_.get(), groups.size(),
-          DefaultGrain(groups.size(), pool_->size()),
-          [&](size_t /*chunk*/, size_t begin, size_t end, size_t /*worker*/) {
-            for (size_t k = begin; k < end; ++k) {
-              if (stop.load(std::memory_order_relaxed)) return;
-              GroupPlan& plan = plans[k];
-              if (plan.same_root) continue;
-              auto it_i = active_.find(plan.i);
-              auto it_j = active_.find(plan.j);
-              if (it_i == active_.end() || it_j == active_.end()) continue;
-              plan.pairs = index_.PairsFor(plan.i, plan.j);
-              if (plan.pairs.empty()) {
-                plan.loaded = true;
-                continue;
-              }
-              plan.bounds = ComputeBounds(plan.pairs, it_i->second.num_fields(),
-                                          it_j->second.num_fields(),
-                                          options_.tight_bounds);
-              plan.loaded = true;
-              if (plan.bounds.upper < options_.delta) continue;
-              if (plan.bounds.upper == plan.bounds.lower) continue;
-              if (guard_.Interrupted()) {
-                stop.store(true, std::memory_order_relaxed);
-                return;
-              }
-              Timer verify_timer;
-              plan.vr = verifier.Verify(it_i->second, it_j->second, plan.pairs);
-              plan.verify_us = verify_timer.ElapsedMicros();
-              plan.verified = true;
-            }
-          },
-          /*record_spans=*/trace_ != nullptr);
-      if (h_worker_busy_us_ != nullptr) {
-        for (double us : pstats.busy_us) h_worker_busy_us_->Observe(us);
-      }
-      if (trace_) {
-        for (const ChunkSpan& cs : pstats.chunk_spans) {
-          trace_->AddWorkerSpan({"verify.phase_a", cs.worker, cs.chunk,
-                                 phase_a_t0 + cs.start_us / 1000.0,
-                                 cs.dur_us / 1000.0,
-                                 trace_->tracer().iteration()});
-        }
-      }
-    } else if (options_.progressive && !plans.empty()) {
-      // Serial path: finish the plans inline — bounds only;
-      // verification stays in Phase B against the live predictor
-      // state. These are the PairsFor lookups Phase B would otherwise
-      // make.
-      for (GroupPlan& plan : plans) {
-        if (plan.same_root) continue;
-        if (!active_.count(plan.i) || !active_.count(plan.j)) continue;
-        plan.pairs = index_.PairsFor(plan.i, plan.j);
-        if (plan.pairs.empty()) {
-          plan.loaded = true;
-          continue;
-        }
-        auto it_i = active_.find(plan.i);
-        auto it_j = active_.find(plan.j);
-        assert(it_i != active_.end() && it_j != active_.end());
-        plan.bounds = ComputeBounds(plan.pairs, it_i->second.num_fields(),
-                                    it_j->second.num_fields(),
-                                    options_.tight_bounds);
-        plan.loaded = true;
-      }
-    }
-
-    // Speculative KM results are valid only while the predictor's
-    // decided-matchings set still equals its pass-start snapshot:
-    // Verify() consults IsDecided, and votes recorded earlier in this
-    // pass can flip it mid-pass (exactly as in a serial run). The
-    // num_predictions() delta is the cheap gate; the set compare runs
-    // only when votes actually arrived since the last check.
-    const bool voting = options_.enable_schema_voting;
-    std::vector<std::pair<AttrRef, AttrRef>> decided_at_start;
-    if (!plans.empty() && voting) {
-      decided_at_start = predictor_.DecidedMatchings();
-    }
-    size_t preds_checked = predictor_.num_predictions();
-    bool spec_valid = true;
-    auto speculation_valid = [&]() {
-      if (!voting) return true;
-      if (!spec_valid) return false;
-      size_t now = predictor_.num_predictions();
-      if (now != preds_checked) {
-        preds_checked = now;
-        spec_valid = predictor_.DecidedMatchings() == decided_at_start;
-      }
-      return spec_valid;
-    };
-
     // Best-first frontier (progressive mode): when the run is governed
     // — a verification budget, deadline, or cancellation token could
-    // cut it short — Phase B walks its verification-needing groups in
+    // cut it short — the pass walks its verification-needing groups in
     // descending similarity-upper-bound order, so whatever a cut
     // leaves unverified is the least promising work. Groups the bounds
     // decide for free (prune, direct merge, empty, dead) go first in
@@ -674,22 +544,35 @@ Status ResolutionEngine::IterateToFixpoint() {
         options_.progressive &&
         (guard_.max_verifications() > 0 || guard_.watched());
     std::vector<size_t> order;
-    if (frontier_active && !plans.empty()) {
+    if (frontier_active && !groups.empty()) {
+      // One serial pre-pass bounds every group against the pass-start
+      // state, keeping only its upper bound and whether it needs
+      // verification; the pass below recomputes pairs and bounds.
+      std::vector<double> upper(groups.size(), 0.0);
       std::vector<size_t> free_list, verify_list;
       free_list.reserve(groups.size());
       for (size_t k = 0; k < groups.size(); ++k) {
-        const GroupPlan& p = plans[k];
-        const bool needs_verify = p.loaded && !p.same_root &&
-                                  !p.pairs.empty() &&
-                                  p.bounds.upper >= options_.delta &&
-                                  p.bounds.upper != p.bounds.lower;
+        uint32_t i = uf_.Find(groups[k].first);
+        uint32_t j = uf_.Find(groups[k].second);
+        if (i > j) std::swap(i, j);
+        auto it_i = active_.find(i);
+        auto it_j = active_.find(j);
+        bool needs_verify = false;
+        if (i != j && it_i != active_.end() && it_j != active_.end()) {
+          const std::vector<IndexedPair> pairs = index_.PairsFor(i, j);
+          if (!pairs.empty()) {
+            const BoundResult b = ComputeBounds(
+                pairs, it_i->second.num_fields(), it_j->second.num_fields(),
+                options_.tight_bounds);
+            upper[k] = b.upper;
+            needs_verify = b.upper >= options_.delta && b.upper != b.lower;
+          }
+        }
         (needs_verify ? verify_list : free_list).push_back(k);
       }
       std::sort(verify_list.begin(), verify_list.end(),
                 [&](size_t a, size_t b) {
-                  const double ua = plans[a].bounds.upper;
-                  const double ub = plans[b].bounds.upper;
-                  if (ua != ub) return ua > ub;
+                  if (upper[a] != upper[b]) return upper[a] > upper[b];
                   return a < b;  // Canonical order breaks ties.
                 });
       // A frontier capacity bounds the reordering: only the top-C
@@ -717,11 +600,9 @@ Status ResolutionEngine::IterateToFixpoint() {
     const char* cut_reason = nullptr;
     bool cut_is_budget = false;
 
-    // Phase B (serial): replay the paper's loop in frontier order
-    // (canonical unless progressive governance reordered it above),
-    // adopting each speculative plan when its inputs are still
-    // pass-start fresh and recomputing inline otherwise. Merges, votes,
-    // stats, and failpoints happen only here.
+    // The paper's compare-and-merge loop (Algorithm 2), in frontier
+    // order (canonical unless progressive governance reordered it
+    // above).
     for (size_t ok = 0; ok < order.size(); ++ok) {
       const size_t gk = order[ok];
       auto [g1, g2] = groups[gk];
@@ -733,30 +614,16 @@ Status ResolutionEngine::IterateToFixpoint() {
       auto it_j = active_.find(j);
       assert(it_i != active_.end() && it_j != active_.end());
 
-      // A plan is adoptable only if the group's state is untouched
-      // since pass start: same roots, and neither root in a merge this
-      // pass (a stale deferred key can re-root without tripping the
-      // merged_this_pass check on g1/g2 above).
-      GroupPlan* plan = plans.empty() ? nullptr : &plans[gk];
-      const bool fresh = plan != nullptr && plan->loaded && plan->i == i &&
-                         plan->j == j && !merged_this_pass[i] &&
-                         !merged_this_pass[j];
-      std::vector<IndexedPair> local_pairs;
-      if (!fresh) local_pairs = index_.PairsFor(i, j);
-      const std::vector<IndexedPair>& pairs = fresh ? plan->pairs : local_pairs;
+      const std::vector<IndexedPair> pairs = index_.PairsFor(i, j);
       if (pairs.empty()) continue;  // Deleted by an earlier merge.
       if (h_group_pairs_ != nullptr) {
         h_group_pairs_->Observe(static_cast<double>(pairs.size()));
       }
 
       // Candidate generation: bound the similarity (Algorithm 1).
-      BoundResult local_bounds;
-      if (!fresh) {
-        local_bounds =
-            ComputeBounds(pairs, it_i->second.num_fields(),
-                          it_j->second.num_fields(), options_.tight_bounds);
-      }
-      const BoundResult& bounds = fresh ? plan->bounds : local_bounds;
+      const BoundResult bounds =
+          ComputeBounds(pairs, it_i->second.num_fields(),
+                        it_j->second.num_fields(), options_.tight_bounds);
       std::vector<FieldMatch> matching;
       // Predictions recorded by this group, captured for the WAL so
       // replay can re-vote them without re-verifying. Predictions are
@@ -819,19 +686,7 @@ Status ResolutionEngine::IterateToFixpoint() {
           c_frontier_verified_->Inc();
         }
         VerifyResult vr;
-        if (fresh && plan->verified && speculation_valid()) {
-          // Adopt the speculative KM result computed in Phase A.
-          vr = std::move(plan->vr);
-          if (h_verify_us_ != nullptr) {
-            h_verify_us_->Observe(plan->verify_us);
-            if (vr.simplified_nodes > 0) {
-              h_km_nodes_->Observe(static_cast<double>(vr.simplified_nodes));
-            }
-            if (vr.km_size > 0) {
-              h_km_matrix_->Observe(static_cast<double>(vr.km_size));
-            }
-          }
-        } else if (h_verify_us_ != nullptr) {
+        if (h_verify_us_ != nullptr) {
           obs::ScopedTimer verify_timer(nullptr, h_verify_us_);
           vr = verifier.Verify(it_i->second, it_j->second, pairs);
           verify_timer.Stop();

@@ -201,9 +201,8 @@ class ResolutionEngine {
   std::unique_ptr<SimilarityJoin> joiner_;
   RunGuard guard_;
 
-  /// Worker pool for the parallel phases (null when num_threads <= 1);
-  /// shared with the joiner. All engine state mutation stays on the
-  /// controller thread — workers only read.
+  /// Worker pool the joiner runs on (null when num_threads <= 1). The
+  /// compare-and-merge loop never uses it.
   std::unique_ptr<ThreadPool> pool_;
   /// Interned q-gram sets shared across join calls and incremental
   /// rounds (only installed for the prefix-filter joiner).

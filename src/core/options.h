@@ -98,13 +98,12 @@ struct HeraOptions {
   /// Safety cap on compare-and-merge iterations.
   size_t max_iterations = 1000;
 
-  /// Worker threads for the data-parallel phases: similarity-join
-  /// probing, tokenization, and KM verification. 0 or 1 runs fully
-  /// serial (the default; no pool is created and nothing changes).
-  /// Results are deterministic for any value: completed runs produce
-  /// byte-identical pair lists, merge sequences, and clusters at every
-  /// thread count (see docs/performance.md). Merge application and
-  /// vote updates always stay on the controller thread.
+  /// Worker threads for the similarity join: numeric sweep,
+  /// tokenization, and prefix-filter probing. 0 or 1 runs fully serial
+  /// (the default; no pool is created). The compare-and-merge loop is
+  /// always serial. Completed runs produce byte-identical pair lists,
+  /// merge sequences, and clusters at every thread count (see
+  /// docs/performance.md).
   size_t num_threads = 0;
 
   /// Run governance: deadline, cancellation token, resource ceilings.

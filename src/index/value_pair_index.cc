@@ -132,7 +132,7 @@ void ValuePairIndex::AddPairs(const std::vector<ValuePair>& pairs) {
 }
 
 std::vector<IndexedPair> ValuePairIndex::PairsFor(uint32_t i, uint32_t j) const {
-  probe_count_.Inc();
+  ++probe_count_;
   if (i > j) std::swap(i, j);
   std::vector<IndexedPair> out;
   if (i == j) return out;
@@ -355,7 +355,7 @@ void ValuePairIndex::RestoreState(const std::vector<IndexedPair>& pairs,
   next_pid_ = next_pid;
   shed_pairs_ = shed_pairs;
   shed_posting_entries_ = shed_posting_entries;
-  probe_count_.Store(probe_count);
+  probe_count_ = probe_count;
 }
 
 bool ValuePairIndex::CheckInvariants() const {

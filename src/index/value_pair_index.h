@@ -18,7 +18,6 @@
 #ifndef HERA_INDEX_VALUE_PAIR_INDEX_H_
 #define HERA_INDEX_VALUE_PAIR_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -28,34 +27,6 @@
 #include "simjoin/similarity_join.h"
 
 namespace hera {
-
-/// Relaxed atomic counter with value-copying moves, so classes holding
-/// one keep their defaulted move operations (a raw std::atomic deletes
-/// them, which historically forced a hand-written field-by-field move
-/// that every new member had to be added to — an easy-to-drift list).
-class MovableAtomicCounter {
- public:
-  MovableAtomicCounter() = default;
-  MovableAtomicCounter(MovableAtomicCounter&& other) noexcept
-      : v_(other.v_.load(std::memory_order_relaxed)) {}
-  MovableAtomicCounter& operator=(MovableAtomicCounter&& other) noexcept {
-    v_.store(other.v_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Inc(uint64_t delta = 1) const {
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Store(uint64_t value) const {
-    v_.store(value, std::memory_order_relaxed);
-  }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  /// Mutable so logically-const probe paths can count traffic.
-  mutable std::atomic<uint64_t> v_{0};
-};
 
 /// One index entry: pid (stable identity), the two labels, similarity.
 struct IndexedPair {
@@ -70,10 +41,6 @@ class ValuePairIndex {
  public:
   ValuePairIndex() = default;
 
-  // The probe counter is a MovableAtomicCounter precisely so these can
-  // stay defaulted: a hand-written member list here silently dropped
-  // fields as they were added. The index is only ever moved between
-  // runs, never concurrently with probes.
   ValuePairIndex(ValuePairIndex&&) noexcept = default;
   ValuePairIndex& operator=(ValuePairIndex&&) noexcept = default;
 
@@ -111,8 +78,7 @@ class ValuePairIndex {
   size_t size() const { return size_; }
 
   /// All pairs for the record pair (i, j), descending similarity.
-  /// Order of i and j does not matter. Read-only, so safe to call
-  /// concurrently with other const calls.
+  /// Order of i and j does not matter. Counts one probe.
   std::vector<IndexedPair> PairsFor(uint32_t i, uint32_t j) const;
 
   /// Keys of every non-empty (rid1, rid2) group, rid1 < rid2, in index
@@ -147,7 +113,7 @@ class ValuePairIndex {
 
   /// PairsFor lookups served since construction (probe traffic; never
   /// reset by Build).
-  size_t probe_count() const { return probe_count_.value(); }
+  size_t probe_count() const { return probe_count_; }
 
   /// Heap bytes held by the index: the capacity of the pair slots, the
   /// label table, the group table and map, and the per-record lists.
@@ -245,10 +211,8 @@ class ValuePairIndex {
   size_t max_per_record_ = 0;
   size_t shed_pairs_ = 0;
   size_t shed_posting_entries_ = 0;
-  /// Atomic (relaxed) because PairsFor is probed concurrently by the
-  /// engine's parallel verification phase (everything else on the
-  /// index stays controller-thread only).
-  MovableAtomicCounter probe_count_;
+  /// Mutable so the const PairsFor can count its calls.
+  mutable uint64_t probe_count_ = 0;
 };
 
 }  // namespace hera

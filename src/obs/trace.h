@@ -55,12 +55,12 @@ struct SpanRecord {
   int64_t iteration = -1;  ///< Iteration scope at close.
 };
 
-/// One chunk executed on a pool worker (Phase A verification, join
-/// scans). Recorded post-hoc by the controller thread from
+/// One chunk executed on a pool worker (the join's sweep, tokenize
+/// and probe phases). Recorded post-hoc by the controller thread from
 /// ParallelRunStats::chunk_spans, so worker code never touches the
 /// tracer. Times are on the tracer clock, same as SpanRecord.
 struct WorkerSpanRecord {
-  std::string name;        ///< Phase ("join.probe", "verify.phase_a").
+  std::string name;        ///< Phase ("join.tokenize", "join.probe").
   size_t worker = 0;       ///< Pool worker index (0-based).
   uint64_t chunk = 0;      ///< Chunk index within the parallel call.
   double start_ms = 0.0;   ///< Start time since trace start.

@@ -1,5 +1,5 @@
 // Fixed-size worker pool for the data-parallel stages of a resolution
-// run (similarity-join probing, KM verification, value gathering).
+// run: the similarity join's numeric sweep, tokenization and probing.
 //
 // The pool is deliberately minimal: no task queue, no futures. One
 // caller at a time hands every worker the same callable via Run() and

@@ -1,7 +1,6 @@
 // Runtime dispatch for the SIMD kernel tier.
 //
-// The similarity kernels (sim/kernel.cc set intersection, the Myers
-// bit-parallel Levenshtein in sim/string_metrics.cc) come in several
+// The set-intersection kernel (sim/kernel.cc) comes in several
 // implementations: scalar (always available), SSE4, and AVX2. Which one
 // runs is a pure speed knob — every tier computes the same integers and
 // the same doubles, so labels and merge_sequence are byte-identical
@@ -89,7 +88,7 @@ inline void CountSimdIntersection() {
   kernel_internal::g_simd_intersections.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// One Myers bit-parallel edit-distance call ran instead of the DP.
+/// One Myers bit-parallel edit-distance call ran.
 inline void CountMyersCall() {
   kernel_internal::g_myers_calls.fetch_add(1, std::memory_order_relaxed);
 }

@@ -166,31 +166,6 @@ size_t MyersBlocked(std::string_view pat, std::string_view txt, size_t limit) {
   return score;
 }
 
-/// The row DP with the same banded early exit the Myers kernels use:
-/// once even the best cell of the row cannot get back under the limit
-/// with the columns that remain, the final distance cannot either.
-size_t DpBounded(std::string_view a, std::string_view b, size_t limit) {
-  if (a.size() > b.size()) std::swap(a, b);
-  std::vector<size_t> row(a.size() + 1);
-  std::iota(row.begin(), row.end(), size_t{0});
-  for (size_t j = 1; j <= b.size(); ++j) {
-    size_t prev_diag = row[0];
-    row[0] = j;
-    size_t row_min = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      size_t cur = row[i];
-      size_t sub_cost = prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      row[i] = std::min({row[i] + 1, row[i - 1] + 1, sub_cost});
-      row_min = std::min(row_min, row[i]);
-      prev_diag = cur;
-    }
-    if (limit != kNoLimit && row_min > limit + (b.size() - j)) {
-      return limit + 1;
-    }
-  }
-  return row[a.size()];
-}
-
 /// Lower bound on the edit distance from byte histograms: one edit
 /// changes the summed per-byte count difference by at most 2, so
 /// lev >= ceil(diff / 2). Exact inputs, integer math — safe to use as
@@ -220,20 +195,23 @@ size_t MyersDistance(std::string_view a, std::string_view b, size_t limit) {
 }  // namespace
 
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b) {
-  return DpBounded(a, b, kNoLimit);
-}
-
-size_t LevenshteinDistanceMyers(std::string_view a, std::string_view b) {
-  return MyersDistance(a, b, kNoLimit);
+  if (a.size() > b.size()) std::swap(a, b);
+  std::vector<size_t> row(a.size() + 1);
+  std::iota(row.begin(), row.end(), size_t{0});
+  for (size_t j = 1; j <= b.size(); ++j) {
+    size_t prev_diag = row[0];
+    row[0] = j;
+    for (size_t i = 1; i <= a.size(); ++i) {
+      size_t cur = row[i];
+      size_t sub_cost = prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
+      row[i] = std::min({row[i] + 1, row[i - 1] + 1, sub_cost});
+      prev_diag = cur;
+    }
+  }
+  return row[a.size()];
 }
 
 size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  // Tier dispatch is a speed knob only: the DP and the Myers kernel
-  // compute the same integer for every pair of byte strings
-  // (tests/kernel_test.cc fuzzes the equality).
-  if (ActiveKernelDispatch() == KernelDispatch::kScalar) {
-    return LevenshteinDistanceDp(a, b);
-  }
   return MyersDistance(a, b, kNoLimit);
 }
 
@@ -242,9 +220,6 @@ size_t LevenshteinDistanceBounded(std::string_view a, std::string_view b,
   const size_t gap =
       a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
   if (gap > limit) return limit + 1;  // lev >= length gap.
-  if (ActiveKernelDispatch() == KernelDispatch::kScalar) {
-    return DpBounded(a, b, limit);
-  }
   return MyersDistance(a, b, limit);
 }
 

@@ -27,19 +27,14 @@ double QgramOverlap(std::string_view a, std::string_view b, int q);
 double QgramCosine(std::string_view a, std::string_view b, int q);
 
 /// Levenshtein edit distance (unit costs). Raw count, not normalized.
-/// Dispatches on the kernel tier (sim/kernel_dispatch.h): the Myers
-/// bit-parallel kernel on any vector tier, the row DP on the scalar
-/// tier. Both compute the same integer for every byte string.
+/// Runs the Myers bit-parallel kernel (Hyyrö's formulation; 64-bit
+/// blocks for patterns longer than one word) on every kernel tier: it
+/// is plain 64-bit scalar code.
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
-/// The O(mn) single-row DP — the scalar reference implementation,
-/// exposed for tests and bench_kernel.
+/// The O(mn) single-row DP: the reference implementation the Myers
+/// kernel is fuzzed against, exposed for tests and bench_kernel.
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b);
-
-/// The Myers bit-parallel kernel (Hyyrö's formulation; 64-bit blocks
-/// for patterns longer than one word). Exposed for tests and
-/// bench_kernel; LevenshteinDistance routes here off the scalar tier.
-size_t LevenshteinDistanceMyers(std::string_view a, std::string_view b);
 
 /// Banded variant: the exact distance when it is <= limit, else any
 /// value > limit (callers must only branch on "> limit"). The band is

@@ -246,11 +246,8 @@ TEST(MyersTest, MatchesDpOnCorpusAndBothDirections) {
   const std::vector<std::string> corpus = EditCorpus();
   for (const std::string& a : corpus) {
     for (const std::string& b : corpus) {
-      size_t want = LevenshteinDistanceDp(a, b);
-      EXPECT_EQ(LevenshteinDistanceMyers(a, b), want)
+      EXPECT_EQ(LevenshteinDistance(a, b), LevenshteinDistanceDp(a, b))
           << "|a|=" << a.size() << " |b|=" << b.size();
-      // The dispatching entry point agrees on every tier.
-      EXPECT_EQ(LevenshteinDistance(a, b), want);
     }
   }
 }
@@ -293,10 +290,17 @@ TEST(MyersTest, NormalizedAtLeastIsExactOrZero) {
   }
 }
 
-TEST(MyersTest, CounterAdvancesOffTheScalarTier) {
-  uint64_t before = KernelCountersNow().myers_calls;
-  LevenshteinDistanceMyers("heterogeneous", "heterogenous");
-  EXPECT_GT(KernelCountersNow().myers_calls, before);
+// Edit distance takes the Myers kernel whatever the dispatch tier.
+TEST(MyersTest, CounterAdvancesOnEveryTier) {
+  for (KernelDispatch tier : kSweepTiers) {
+    SetActiveKernelDispatch(tier);
+    const uint64_t before = KernelCountersNow().myers_calls;
+    LevenshteinDistance("heterogeneous", "heterogenous");
+    LevenshteinDistanceBounded("heterogeneous", "heterogenous", 3);
+    EXPECT_EQ(KernelCountersNow().myers_calls, before + 2)
+        << KernelDispatchToString(tier);
+  }
+  SetActiveKernelDispatch(KernelDispatch::kAuto);
 }
 
 // ------------------------------------- threshold conversion exactness

@@ -423,9 +423,9 @@ TEST(ParallelEngineTest, FailpointFiresIdenticallyUnderParallelRun) {
   ASSERT_FALSE(serial_status.ok());
   for (size_t threads : {2u, 4u}) {
     auto [status, hits] = run_with_failpoint(threads);
-    // Speculative KM runs in workers never touch the failpoint: the
-    // injected error fires at the same serial consumption point, after
-    // the same number of passing hits.
+    // KM verification runs on the controller thread while the pool
+    // serves the join: the injected error fires at the same serial
+    // consumption point, after the same number of passing hits.
     EXPECT_EQ(status.ToString(), serial_status.ToString())
         << "threads=" << threads;
     EXPECT_EQ(hits, serial_hits) << "threads=" << threads;
@@ -480,7 +480,7 @@ TEST(ParallelEngineTest, ReportRecordsThreadCountAndWorkerActivity) {
 
 #ifndef HERA_DISABLE_OBS
 
-TEST(ParallelEngineTest, WorkerSpansCoverJoinAndVerifyPhases) {
+TEST(ParallelEngineTest, WorkerSpansCoverJoinPhases) {
   Dataset ds = MovieData(200, 19);
   HeraOptions opts;
   opts.num_threads = 4;
@@ -502,8 +502,33 @@ TEST(ParallelEngineTest, WorkerSpansCoverJoinAndVerifyPhases) {
   // workers on 200 records more than one worker claims chunks.
   EXPECT_TRUE(phases.count("join.probe") || phases.count("join.tokenize"))
       << "no join worker spans recorded";
+  // The compare-and-merge loop is serial: no worker runs verification.
+  EXPECT_EQ(phases.count("verify.phase_a"), 0u);
   EXPECT_GT(max_worker, 0u);
   EXPECT_EQ(r.dropped_worker_spans, 0u);
+}
+
+// Every PairsFor lookup happens in the serial loop, so the probe count
+// is a function of the input, not of the pool.
+TEST(ParallelEngineTest, IndexProbeCountIsIdenticalAcrossThreadCounts) {
+  Dataset ds = MovieData(300, 3);
+  auto probes = [&](size_t threads) {
+    HeraOptions opts;
+    opts.num_threads = threads;
+    opts.collect_report = true;
+    auto result = Hera(opts).Run(ds);
+    if (!result.ok()) {
+      ADD_FAILURE() << result.status().ToString();
+      return uint64_t{0};
+    }
+    EXPECT_GT(result->stats.merges, 0u);
+    return result->report.counters.at("index.probes");
+  };
+  const uint64_t serial = probes(0);
+  EXPECT_GT(serial, 0u);
+  for (size_t threads : {2u, 4u}) {
+    EXPECT_EQ(probes(threads), serial) << "threads=" << threads;
+  }
 }
 
 TEST(ParallelEngineTest, SerialRunRecordsNoWorkerSpans) {

@@ -454,7 +454,7 @@ TEST(PersistResumeTest, ResumeReproducesLabelsAtEveryBudgetCut) {
 
   // Serial sweeps a dense grid of cut points; the threaded run
   // spot-checks a coarse set — the cut machinery is identical, only
-  // join/phase-A internals differ.
+  // the join's internals differ.
   struct Config {
     size_t threads;
     bool dense;

@@ -16,10 +16,8 @@ for bit for a given seed and source tree: a change in one means the code
 does different work, and the PR that causes it updates the baseline
 (`--update`) and says why in CHANGES.md.
 
-`sim.myers_calls` counts edit-distance calls that take the bit-parallel
-Myers path instead of the row DP, and which path runs depends on the
-kernel dispatch tier. So it is compared only when the run's `env` line
-reports the tier the baseline was recorded on.
+Every counter, `sim.myers_calls` included, is independent of the kernel
+dispatch tier: edit distance runs the Myers kernel on every tier.
 
 Exit codes: 0 every count matches, 1 a count differs or a run was not
 correct, 2 operational error (a run printed no result, missing baseline).
@@ -40,28 +38,27 @@ COUNTERS = (
     "core.pruned_by_bound", "core.merges",
     "simjoin.candidates", "simjoin.verified", "simjoin.emitted",
     "simjoin.pruned_prefix", "simjoin.pruned_suffix",
-    "sim.pairsim_lookups",
+    "sim.pairsim_lookups", "sim.myers_calls",
     "index.pairs", "index.groups", "index.pairs_for_calls",
     "index.apply_merge_calls",
     "matching.verify_calls",
     "schema.decided_matchings",
 )
-TIER_COUNTERS = ("sim.myers_calls",)
 RUN_TIMEOUT_S = 600
 
 
 def run_traced(workload, seed):
-    """Returns (env, result) parsed from run.py's last two stdout lines."""
+    """Returns the result parsed from run.py's last stdout line."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed), "--scale", "small",
            "--trace", "1", "--seconds", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
                           timeout=RUN_TIMEOUT_S, check=False)
     lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
-    if len(lines) < 2:
+    if not lines:
         raise RuntimeError(f"{workload} seed {seed}: no result line "
                            f"(exit {proc.returncode})")
-    return json.loads(lines[-2])["env"], json.loads(lines[-1])
+    return json.loads(lines[-1])
 
 
 def main():
@@ -80,25 +77,22 @@ def main():
             return 2
 
     recorded = {}
-    tiers = set()
     failures = []
     for workload in WORKLOADS:
         for seed in SEEDS:
             key = f"{workload}/{seed}"
             try:
-                env, result = run_traced(workload, seed)
-            except (RuntimeError, ValueError, KeyError,
+                result = run_traced(workload, seed)
+            except (RuntimeError, ValueError,
                     subprocess.TimeoutExpired) as err:
                 print(f"error: {err}", file=sys.stderr)
                 return 2
-            tier = env.get("kernel_dispatch")
-            tiers.add(tier)
             if not result.get("correct") or result.get("failed", 1) != 0:
                 failures.append(f"{key}: correct={result.get('correct')} "
                                 f"failed={result.get('failed')}")
             metrics = result.get("metrics", {})
             counts = {}
-            for name in COUNTERS + TIER_COUNTERS:
+            for name in COUNTERS:
                 if name not in metrics:
                     failures.append(f"{key}: {name} missing from the traced run")
                     continue
@@ -110,24 +104,16 @@ def main():
             if expected is None:
                 failures.append(f"{key}: not in the baseline")
                 continue
-            names = list(COUNTERS)
-            if tier == baseline["kernel_dispatch"]:
-                names += TIER_COUNTERS
-            for name in names:
+            for name in COUNTERS:
                 if name in counts and counts[name] != expected.get(name):
                     failures.append(f"{key}: {name} = {counts[name]}, "
                                     f"baseline {expected.get(name)}")
-            print(f"{key}: checked {len(names)} counters (tier {tier})")
+            print(f"{key}: checked {len(COUNTERS)} counters")
 
     if args.update:
-        if len(tiers) != 1:
-            print(f"runs disagree on the kernel tier: {sorted(tiers)}",
-                  file=sys.stderr)
-            return 2
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         args.baseline.write_text(json.dumps(
-            {"kernel_dispatch": tiers.pop(), "runs": recorded},
-            indent=2, sort_keys=True) + "\n")
+            {"runs": recorded}, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.baseline}")
     for line in failures:
         print(f"FAIL {line}")
