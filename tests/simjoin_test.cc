@@ -285,9 +285,11 @@ TEST(PrefixFilterJoinTest, ReportedSimilaritiesMatchMetric) {
 // pids break ties among equal-similarity pairs. So the order of the
 // emitted list is part of the join's contract, not only its content.
 // These cases pin both entry points' pair lists (labels and the bit
-// pattern of each similarity, in emission order) and their report
-// counters as FNV-1a fingerprints. Every case must give the same
-// fingerprint at 1 and 4 threads.
+// pattern of each similarity, in emission order) and, separately,
+// their report counters, as FNV-1a fingerprints. The pairs pin is the
+// contract; the counters pin moves whenever the join does different
+// filter or verify work for the same output. Every case must give the
+// same fingerprints at 1 and 4 threads.
 
 class Fnv1a {
  public:
@@ -303,8 +305,7 @@ class Fnv1a {
   uint64_t h_ = 14695981039346656037ull;
 };
 
-uint64_t Fingerprint(const std::vector<ValuePair>& pairs,
-                     const JoinReport& report) {
+uint64_t PairsFingerprint(const std::vector<ValuePair>& pairs) {
   Fnv1a f;
   for (const ValuePair& p : pairs) {
     for (uint32_t x : {p.a.rid, p.a.fid, p.a.vid, p.b.rid, p.b.fid, p.b.vid}) {
@@ -312,6 +313,11 @@ uint64_t Fingerprint(const std::vector<ValuePair>& pairs,
     }
     f.Add(std::bit_cast<uint64_t>(p.sim));
   }
+  return f.value();
+}
+
+uint64_t CountersFingerprint(const JoinReport& report) {
+  Fnv1a f;
   for (size_t c : {size_t{report.truncated}, report.shed_posting_entries,
                    report.candidates, report.verified, report.shed_candidates,
                    report.emitted, report.pruned_prefix, report.pruned_length,
@@ -378,6 +384,33 @@ std::vector<LabeledValue> HybridValues(uint64_t seed) {
   return values;
 }
 
+// Few distinct texts over many records: the same text in many
+// records, the same text twice in one record, equal-size texts that
+// interleave in the size-sorted order, and numbers next to strings
+// that render the same ("1997" and 1997.0). The 70/30 probe/base split
+// below puts most texts on both sides of JoinAB.
+std::vector<LabeledValue> DuplicateValues(uint64_t seed) {
+  Rng rng(seed);
+  const char* kTexts[] = {"norman street", "norman streez", "west bush",
+                          "bush west",     "abcd",          "abce",
+                          "abdc",          "bcde",          "john product",
+                          "john products"};
+  std::vector<LabeledValue> values;
+  for (uint32_t r = 0; r < 150; ++r) {
+    const char* text = kTexts[rng.Uniform(10)];
+    values.push_back({ValueLabel{r, 0, 0}, Value(text)});
+    if (rng.Bernoulli(0.3)) {
+      values.push_back({ValueLabel{r, 0, 1}, Value(text)});
+    }
+    values.push_back({ValueLabel{r, 1, 0}, Value(kTexts[rng.Uniform(10)])});
+    const int year = static_cast<int>(rng.UniformInt(1995, 1999));
+    values.push_back({ValueLabel{r, 2, 0},
+                      rng.Bernoulli(0.5) ? Value(static_cast<double>(year))
+                                         : Value(std::to_string(year))});
+  }
+  return values;
+}
+
 struct PinCase {
   const char* name;
   std::vector<LabeledValue> values;
@@ -387,32 +420,56 @@ struct PinCase {
   bool pair_cache;
   bool token_cache;
   size_t max_posting;
-  uint64_t join_fp;
-  uint64_t join_ab_fp;
+  uint64_t join_pairs_fp;
+  uint64_t join_ab_pairs_fp;
+  uint64_t join_counters_fp;
+  uint64_t join_ab_counters_fp;
 };
 
-// A change that moves any of these constants changes the pid order of
-// the index built from the join, and must say why.
+// A change that moves a pairs constant changes the pid order of the
+// index built from the join, and must say why.
 std::vector<PinCase> PinCases() {
   std::vector<PinCase> cases;
   cases.push_back({"movies jaccard_q2", Movies(240, 7), "jaccard_q2", 0.5, 2,
-                   false, true, 0, 0xc01cd66ceb33ac47ull,
-                   0x91cb24a799642768ull});
+                   false, true, 0,
+                   0x86d0d38c74b52444ull, 0xcaa3cd10c3675ca4ull,
+                   0xe18ab7087e428962ull, 0xedc763dc8f243f5dull});
   cases.push_back({"movies edit + pair cache", Movies(120, 5), "edit", 0.6, 2,
-                   true, false, 0, 0x9bb82309fd1d3f87ull,
-                   0x8b6d37d9a5016312ull});
+                   true, false, 0,
+                   0x9eebf56485608799ull, 0x9506ee3e1818a258ull,
+                   0x16cc95a62031332bull, 0x1d43f7b6099f94efull});
   cases.push_back({"publications jaccard_q3", Publications(200, 11),
                    "jaccard_q3", 0.5, 3, false, false, 0,
-                   0xc7775b3df895cae7ull, 0xc6c8399cddd406dcull});
+                   0x9002cd18c4146a3dull, 0xb9be53c657c147b6ull,
+                   0xd5a2002a12a3e98full, 0x2c78dd0ca2158c27ull});
   cases.push_back({"hybrid relative window", HybridValues(23),
                    "hybrid(jaccard_q2)", 0.8, 2, false, false, 0,
-                   0x73080a8bc4343378ull, 0x2491bdf03c783c01ull});
+                   0xa78acf1818bf004dull, 0xd686ac80e39befe8ull,
+                   0x43a0acc2e2fa7530ull, 0x0c086e6e484b33b8ull});
   cases.push_back({"hybrid numeric_tol window", HybridValues(29),
                    "hybrid(jaccard_q2,numeric_tol30)", 0.6, 2, false, true, 0,
-                   0xba81c402031a93abull, 0x7e6addc6d8f54779ull});
+                   0x502f5c42224ac2a7ull, 0xc41a75dc0c437f31ull,
+                   0xfee8acb758b8c7adull, 0x687f91fa55746505ull});
   cases.push_back({"movies posting ceiling", Movies(240, 13), "jaccard_q2",
-                   0.4, 2, false, false, 6, 0x3decb62298897995ull,
-                   0x0dc39f542f7816d0ull});
+                   0.4, 2, false, false, 6,
+                   0x2b2b62c2a63de176ull, 0x944c814e9b8f6f1cull,
+                   0xc588c46c34a96d8eull, 0xd1b1da02df556809ull});
+  cases.push_back({"movies monge_elkan", Movies(120, 3), "monge_elkan", 0.7, 2,
+                   false, false, 0,
+                   0xeae9eb7c0e105ffeull, 0xe233f9d065acaf48ull,
+                   0x00e5e07a472c4b30ull, 0x0a1ea78218248c3full});
+  cases.push_back({"duplicates jaccard_q2", DuplicateValues(31), "jaccard_q2",
+                   0.5, 2, false, true, 0,
+                   0x3bda150d5cc22814ull, 0xaa4f98815e6417faull,
+                   0xfc2213c0c29f62fbull, 0xe1bceb3b183c21fcull});
+  cases.push_back({"duplicates edit", DuplicateValues(37), "edit", 0.5, 2,
+                   false, false, 0,
+                   0x66f0835bc5d2c5c3ull, 0x0d4d8336eb1b8a56ull,
+                   0x167f95ee8c6cf8f8ull, 0x35daab95ddb225a7ull});
+  cases.push_back({"duplicates monge_elkan", DuplicateValues(41),
+                   "monge_elkan", 0.6, 2, false, false, 0,
+                   0x602a8bbfe4aa1d24ull, 0x34e5630ae83374faull,
+                   0x21dc31f87a4558e2ull, 0xafcf408b375a012bull});
   return cases;
 }
 
@@ -448,18 +505,26 @@ TEST(JoinOrderPinTest, EmissionOrderAndCountersArePinned) {
           join.Join(c.values, *metric, c.xi, guard, &out, &report).ok());
       EXPECT_FALSE(out.empty()) << where;
       EXPECT_EQ(c.max_posting > 0, report.shed_posting_entries > 0) << where;
-      const uint64_t join_fp = Fingerprint(out, report);
-      EXPECT_EQ(join_fp, c.join_fp)
-          << where << " Join fingerprint 0x" << std::hex << join_fp;
+      const uint64_t join_fp = PairsFingerprint(out);
+      EXPECT_EQ(join_fp, c.join_pairs_fp)
+          << where << " Join pairs fingerprint 0x" << std::hex << join_fp;
+      const uint64_t join_counters = CountersFingerprint(report);
+      EXPECT_EQ(join_counters, c.join_counters_fp)
+          << where << " Join counters fingerprint 0x" << std::hex
+          << join_counters;
 
       JoinReport ab_report;
       ASSERT_TRUE(join.JoinAB(probe, base, *metric, c.xi, guard, &out,
                               &ab_report)
                       .ok());
       EXPECT_FALSE(out.empty()) << where;
-      const uint64_t ab_fp = Fingerprint(out, ab_report);
-      EXPECT_EQ(ab_fp, c.join_ab_fp)
-          << where << " JoinAB fingerprint 0x" << std::hex << ab_fp;
+      const uint64_t ab_fp = PairsFingerprint(out);
+      EXPECT_EQ(ab_fp, c.join_ab_pairs_fp)
+          << where << " JoinAB pairs fingerprint 0x" << std::hex << ab_fp;
+      const uint64_t ab_counters = CountersFingerprint(ab_report);
+      EXPECT_EQ(ab_counters, c.join_ab_counters_fp)
+          << where << " JoinAB counters fingerprint 0x" << std::hex
+          << ab_counters;
     }
   }
 }
