@@ -31,11 +31,6 @@ JoinSetup MakeJoinSetup(const HeraOptions& options,
   } else {
     setup.joiner = std::make_unique<NestedLoopJoin>();
   }
-  if (options.enable_pair_sim_cache) {
-    setup.pair_cache = std::make_shared<PairSimCache>(
-        simv.Name(), options.pair_sim_cache_capacity);
-    setup.joiner->SetPairSimCache(setup.pair_cache);
-  }
   if (options.num_threads > 1) {
     setup.pool = std::make_unique<ThreadPool>(options.num_threads);
     setup.joiner->SetExecutor(setup.pool.get());
@@ -58,7 +53,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
   joiner_ = std::move(join.joiner);
   pool_ = std::move(join.pool);
   token_cache_ = std::move(join.token_cache);
-  pair_cache_ = std::move(join.pair_cache);
   index_.SetCeilings(guard_.max_index_pairs(), guard_.max_posting_list());
 #ifndef HERA_DISABLE_OBS
   // A timeline interval implies report collection: the samples land in
@@ -132,12 +126,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
         std::shared_ptr<TokenCache> tc = token_cache_;
         sampler_->AddProbe("token_cache_entries", [tc] {
           return static_cast<double>(tc->stats().entries);
-        });
-      }
-      if (pair_cache_) {
-        std::shared_ptr<PairSimCache> pc = pair_cache_;
-        sampler_->AddProbe("pair_sim_cache_entries", [pc] {
-          return static_cast<double>(pc->stats().entries);
         });
       }
       if (options_.progressive) {
@@ -214,6 +202,8 @@ void ResolutionEngine::NoteJoinReport(const JoinReport& report,
     m.GetCounter("simjoin.pruned_length")->Inc(report.pruned_length);
     m.GetCounter("simjoin.pruned_positional")->Inc(report.pruned_positional);
     m.GetCounter("simjoin.pruned_suffix")->Inc(report.pruned_suffix);
+    m.GetCounter("simjoin.distinct_values")->Inc(report.distinct_values);
+    m.GetCounter("simjoin.distinct_emitted")->Inc(report.distinct_emitted);
     if (h_worker_busy_us_ != nullptr) {
       for (double us : report.worker_busy_us) h_worker_busy_us_->Observe(us);
     }
@@ -294,15 +284,6 @@ void ResolutionEngine::SyncTokenCacheMetrics() {
   obs::Counter* interned = trace_->metrics().GetCounter("tokens.interned");
   if (s.misses > interned->value()) interned->Inc(s.misses - interned->value());
   obs::Counter* hits = trace_->metrics().GetCounter("tokens.cache_hits");
-  if (s.hits > hits->value()) hits->Inc(s.hits - hits->value());
-}
-
-void ResolutionEngine::SyncPairCacheMetrics() {
-  if (!trace_ || !pair_cache_) return;
-  PairSimCache::Stats s = pair_cache_->stats();
-  obs::Counter* computed = trace_->metrics().GetCounter("pairsim.computed");
-  if (s.misses > computed->value()) computed->Inc(s.misses - computed->value());
-  obs::Counter* hits = trace_->metrics().GetCounter("pairsim.cache_hits");
   if (s.hits > hits->value()) hits->Inc(s.hits - hits->value());
 }
 
@@ -389,7 +370,6 @@ StatusOr<size_t> ResolutionEngine::IndexNewRecords() {
   stats_.index_size = index_.size();
   HarvestIndexMetrics();
   SyncTokenCacheMetrics();
-  SyncPairCacheMetrics();
   SyncKernelMetrics();
   // New pairs invalidate any carried loop state: the next fixpoint loop
   // must rescan every group.

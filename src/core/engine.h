@@ -33,7 +33,6 @@
 #include "record/record.h"
 #include "record/super_record.h"
 #include "schema/majority_vote.h"
-#include "sim/pair_cache.h"
 #include "sim/similarity.h"
 #include "simjoin/similarity_join.h"
 #include "text/token_cache.h"
@@ -49,8 +48,6 @@ struct JoinSetup {
   std::unique_ptr<ThreadPool> pool;
   /// Interned q-gram sets; prefix-filter joiner with cache_tokens only.
   std::shared_ptr<TokenCache> token_cache;
-  /// Verified pair similarities; null when disabled.
-  std::shared_ptr<PairSimCache> pair_cache;
 };
 
 /// Builds the joiner `options` select for metric `simv`. The prefix
@@ -186,10 +183,6 @@ class ResolutionEngine {
   /// token cache's cumulative totals (no-op without trace or cache).
   void SyncTokenCacheMetrics();
 
-  /// Same for the pairsim.computed / pairsim.cache_hits counters of
-  /// the verified-pair similarity cache.
-  void SyncPairCacheMetrics();
-
   /// Publishes this run's kernel.simd_intersections / kernel.myers_calls
   /// deltas from the process-global kernel counters
   /// (sim/kernel_dispatch.h), against the baseline captured at engine
@@ -207,9 +200,6 @@ class ResolutionEngine {
   /// Interned q-gram sets shared across join calls and incremental
   /// rounds (only installed for the prefix-filter joiner).
   std::shared_ptr<TokenCache> token_cache_;
-  /// Verified pair similarities shared across join calls, fixpoint
-  /// rounds, and incremental batches (null when disabled).
-  std::shared_ptr<PairSimCache> pair_cache_;
 
   UnionFind uf_;
   std::map<uint32_t, SuperRecord> active_;

@@ -58,16 +58,11 @@ struct HeraOptions {
   /// docs/performance.md ("SIMD kernel tier").
   KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
 
-  /// Memoize verified value-pair similarities across joins, fixpoint
-  /// rounds, and incremental batches (sim/pair_cache.h). Scores are a
-  /// pure function of the two value texts, so results are unchanged;
-  /// only repeated metric work is saved. Pays off for non-kernel
-  /// metrics (edit, jaro_winkler, monge_elkan); kernel-eligible
-  /// metrics bypass it.
+  /// Ignored, as is pair_sim_cache_capacity: the join verifies each
+  /// pair of distinct value texts once, so there is no pair cache (see
+  /// sim/pair_cache.h). Both remain only for perfbench's traced run,
+  /// which still reads them, until a benchmark change drops them.
   bool enable_pair_sim_cache = true;
-
-  /// PairSimCache entry ceiling (0 = unlimited); at the ceiling the
-  /// cache degrades to a pass-through. ~48 bytes + key text per entry.
   size_t pair_sim_cache_capacity = 1u << 20;
 
   /// Ignored, as is flat_pipeline_depth: the join has one hash layout

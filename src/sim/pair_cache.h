@@ -1,84 +1,33 @@
-// Cross-pass memoization of verified value-pair similarities.
+// An ignored stand-in for the removed verified-pair similarity cache.
 //
-// The expensive part of candidate verification — when the metric is
-// not kernel-eligible (edit distance, Jaro–Winkler, Monge–Elkan, Soft
-// TF-IDF, or a q mismatch) — is the metric call itself, and the same
-// text pairs recur constantly: duplicate values inside one batch, and
-// every incremental round re-probes fresh records against the standing
-// value set. PairSimCache interns the score per (text, text) pair so
-// each distinct pair is computed once per run.
-//
-// Content-addressed like TokenCache: keys are the raw value texts, so
-// super-record merges invalidate by construction (merging permutes
-// value labels, never value text — a merged record's entries are still
-// valid verbatim). Keys preserve argument order and are length-framed,
-// so the cache is sound for asymmetric metrics and for texts that
-// contain any delimiter byte.
-//
-// Determinism: a metric is a pure function of its two texts, so a hit
-// returns the bit-identical double a fresh computation would — results
-// never depend on cache state, thread interleaving, or capacity. Only
-// the hit/miss counters are timing-dependent.
-//
-// Thread safety: GetOrCompute may be called concurrently from join
-// workers (shared-lock lookups, unique-lock inserts). Two workers
-// racing on the same missing key both compute the same value; either
-// insert wins.
+// The prefix-filter join verifies each ordered pair of distinct value
+// texts once per join, so a cache of pair scores has nothing left to
+// serve. This type, SimilarityJoin::SetPairSimCache and the
+// HeraOptions::enable_pair_sim_cache / pair_sim_cache_capacity fields
+// remain only for perfbench's traced run, which still names them, until
+// a benchmark change drops those calls. The stub stores nothing and its
+// counters stay zero.
 
 #ifndef HERA_SIM_PAIR_CACHE_H_
 #define HERA_SIM_PAIR_CACHE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
 namespace hera {
 
-/// \brief Content-addressed cache of value-pair similarity scores.
 class PairSimCache {
  public:
-  /// Point-in-time counters; hits/misses/skipped are cumulative.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    /// Misses computed but not retained because the cache was full.
-    uint64_t skipped_inserts = 0;
-    size_t entries = 0;
   };
 
-  /// \param metric_name Name() of the metric whose scores are cached;
-  ///   consumers must check it so a cache never serves scores from a
-  ///   different metric.
-  /// \param max_entries capacity ceiling (0 = unlimited); at the
-  ///   ceiling the cache degrades to a pass-through.
-  explicit PairSimCache(std::string metric_name, size_t max_entries = 1u << 20)
-      : metric_name_(std::move(metric_name)), max_entries_(max_entries) {}
+  explicit PairSimCache(const std::string& /*metric_name*/,
+                        size_t /*max_entries*/ = 0) {}
 
-  /// The cached score for the ordered text pair (a, b), or compute(),
-  /// interned for next time.
-  double GetOrCompute(const std::string& a, const std::string& b,
-                      const std::function<double()>& compute);
-
-  /// Drops every entry; counters are kept.
-  void Clear();
-
-  Stats stats() const;
-
-  const std::string& metric_name() const { return metric_name_; }
-
- private:
-  const std::string metric_name_;
-  const size_t max_entries_;
-
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, double> map_;
-
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> skipped_inserts_{0};
+  Stats stats() const { return {}; }
 };
 
 }  // namespace hera

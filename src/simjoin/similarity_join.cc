@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -59,6 +62,8 @@ struct JoinCounters {
   size_t pruned_length = 0;
   size_t pruned_positional = 0;
   size_t pruned_suffix = 0;
+  /// Token-path verifications that met xi (distinct-text pairs).
+  size_t distinct_emitted = 0;
 
   void Fold(const JoinCounters& o) {
     candidates += o.candidates;
@@ -68,6 +73,7 @@ struct JoinCounters {
     pruned_length += o.pruned_length;
     pruned_positional += o.pruned_positional;
     pruned_suffix += o.pruned_suffix;
+    distinct_emitted += o.distinct_emitted;
   }
 };
 
@@ -109,6 +115,7 @@ void FinishReport(JoinReport* report, const JoinCounters& totals,
   report->pruned_length = totals.pruned_length;
   report->pruned_positional = totals.pruned_positional;
   report->pruned_suffix = totals.pruned_suffix;
+  report->distinct_emitted = totals.distinct_emitted;
 }
 
 /// Folds one parallel phase's stats into the join report (element-wise
@@ -153,8 +160,6 @@ struct VerifyPlan {
   /// Positional/suffix filters apply (exact threshold: q-gram Jaccard
   /// with kernels on).
   bool exact_filters = false;
-  /// Metric-matched PairSimCache for the fallback string path, or null.
-  PairSimCache* pair_cache = nullptr;
 };
 
 /// Suffix filter recursion depth (each level costs a binary search and
@@ -193,7 +198,7 @@ int PositionalSuffixFilter(const std::vector<uint32_t>& x, size_t px,
 }
 
 VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q,
-                          bool encoded_kernels, PairSimCache* cache) {
+                          bool encoded_kernels) {
   VerifyPlan plan;
   SetSimKind kind;
   if (encoded_kernels && GramMetricKind(simv.Name(), q, &kind)) {
@@ -201,23 +206,19 @@ VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q,
     plan.kind = kind;
   }
   plan.exact_filters = encoded_kernels && IsJaccardMetric(simv, q);
-  plan.pair_cache = plan.use_kernel ? nullptr : cache;
   return plan;
 }
 
 /// Scores one string-path candidate per the plan: kernel when
 /// eligible (early exit below xi returns a negative sentinel, which
-/// callers' `s >= xi` emission test already rejects), else the metric,
-/// served from the pair cache when one is installed.
+/// callers' `s >= xi` emission test already rejects), else the metric.
+/// The kernel's score does not depend on argument order; the metric's
+/// may (Monge-Elkan).
 double VerifyStringPair(const VerifyPlan& plan, const ValueSimilarity& simv,
                         double xi, const std::vector<uint32_t>& x_ids,
                         const std::vector<uint32_t>& y_ids, const Value& va,
                         const Value& vb) {
   if (plan.use_kernel) return SetSimilarityBounded(plan.kind, x_ids, y_ids, xi);
-  if (plan.pair_cache != nullptr) {
-    return plan.pair_cache->GetOrCompute(
-        va.ToString(), vb.ToString(), [&] { return simv.Compute(va, vb); });
-  }
   return simv.Compute(va, vb);
 }
 
@@ -277,11 +278,198 @@ size_t PrefixLen(size_t len, double filter_xi) {
   return std::min(prefix, len);
 }
 
-/// One encoded string value: its sorted rare-first token ids.
-struct TokenSet {
-  const LabeledValue* value;
-  std::vector<uint32_t> ids;
+/// The token path's values interned by exact payload: a string by its
+/// text, a number by its bit pattern. The rendering is not the key, so
+/// two numbers that print alike stay apart for a metric that reads the
+/// number, and a number never merges with its string twin. Each
+/// distinct value is tokenized, encoded, indexed and verified once.
+struct DistinctValues {
+  /// Per distinct value, in order of first occurrence: a representative
+  /// and its occurrence count.
+  std::vector<const Value*> value;
+  std::vector<uint32_t> count;
+  /// Per token-path value: its distinct value.
+  std::vector<uint32_t> of;
 };
+
+DistinctValues Intern(const std::vector<const LabeledValue*>& texts) {
+  DistinctValues d;
+  d.of.reserve(texts.size());
+  std::unordered_map<std::string_view, uint32_t> strings;
+  std::unordered_map<uint64_t, uint32_t> numbers;
+  for (const LabeledValue* lv : texts) {
+    const Value& v = lv->value;
+    const uint32_t next = static_cast<uint32_t>(d.value.size());
+    const uint32_t id =
+        v.is_string()
+            ? strings.try_emplace(v.AsString(), next).first->second
+            : numbers.try_emplace(std::bit_cast<uint64_t>(v.AsNumber()), next)
+                  .first->second;
+    if (id == next) {
+      d.value.push_back(&v);
+      d.count.push_back(0);
+    }
+    ++d.count[id];
+    d.of.push_back(id);
+  }
+  return d;
+}
+
+/// One side of the token join at occurrence level. `occ` holds the
+/// occurrences with a non-empty gram set in the order the join visits
+/// them: size-sorted for the self-join, input order otherwise. `texts`
+/// holds the distinct values among them in order of first appearance,
+/// which is the order the distinct join indexes and probes them in.
+/// The positions of side text t are pos[pos_begin[t], pos_begin[t + 1]),
+/// ascending.
+struct Side {
+  std::vector<const LabeledValue*> occ;
+  std::vector<uint32_t> text_at;
+  std::vector<uint32_t> texts;
+  std::vector<uint32_t> pos_begin;
+  std::vector<uint32_t> pos;
+
+  uint32_t first_pos(uint32_t t) const { return pos[pos_begin[t]]; }
+  uint32_t last_pos(uint32_t t) const { return pos[pos_begin[t + 1] - 1]; }
+
+  /// True when text t occurs in at least two records.
+  bool InSeveralRecords(uint32_t t) const {
+    const uint32_t rid = occ[first_pos(t)]->label.rid;
+    for (uint32_t i = pos_begin[t] + 1; i < pos_begin[t + 1]; ++i) {
+      if (occ[pos[i]]->label.rid != rid) return true;
+    }
+    return false;
+  }
+};
+
+/// `order` lists indices into the token-path values in visiting order.
+Side MakeSide(const std::vector<uint32_t>& order,
+              const std::vector<const LabeledValue*>& texts,
+              const DistinctValues& distinct) {
+  Side side;
+  std::vector<uint32_t> side_of(distinct.value.size(), UINT32_MAX);
+  side.occ.reserve(order.size());
+  side.text_at.reserve(order.size());
+  for (uint32_t k : order) {
+    uint32_t& t = side_of[distinct.of[k]];
+    if (t == UINT32_MAX) {
+      t = static_cast<uint32_t>(side.texts.size());
+      side.texts.push_back(distinct.of[k]);
+    }
+    side.occ.push_back(texts[k]);
+    side.text_at.push_back(t);
+  }
+  side.pos_begin.assign(side.texts.size() + 1, 0);
+  for (uint32_t t : side.text_at) ++side.pos_begin[t + 1];
+  std::partial_sum(side.pos_begin.begin(), side.pos_begin.end(),
+                   side.pos_begin.begin());
+  std::vector<uint32_t> next(side.pos_begin.begin(), side.pos_begin.end() - 1);
+  side.pos.resize(order.size());
+  for (uint32_t p = 0; p < side.text_at.size(); ++p) {
+    side.pos[next[side.text_at[p]]++] = p;
+  }
+  return side;
+}
+
+/// A similar distinct pair, found by the probe loop: probe-side text
+/// `from` scored `sim` >= xi against base-side text `to`, and the
+/// first prefix token they share sits at `from`'s position `k`.
+struct Edge {
+  uint32_t from;
+  uint32_t to;
+  uint32_t k;
+  double sim;
+};
+
+/// One probe chunk's output of the distinct join.
+struct EdgeChunk {
+  std::vector<Edge> edges;
+  JoinCounters counters;
+};
+
+/// The similar distinct pairs as adjacency lists: for probe-side text
+/// t, edges[begin[t], begin[t + 1]), sorted by k. One flat array, so
+/// memory stays proportional to the distinct pairs.
+struct SimilarTexts {
+  struct Neighbor {
+    uint32_t text;
+    uint32_t k;
+    double sim;
+  };
+  std::vector<size_t> begin;
+  std::vector<Neighbor> edges;
+};
+
+SimilarTexts MakeSimilarTexts(size_t num_probe_texts,
+                              std::vector<EdgeChunk>& chunks) {
+  SimilarTexts similar;
+  similar.begin.assign(num_probe_texts + 1, 0);
+  for (const EdgeChunk& c : chunks) {
+    for (const Edge& e : c.edges) ++similar.begin[e.from + 1];
+  }
+  std::partial_sum(similar.begin.begin(), similar.begin.end(),
+                   similar.begin.begin());
+  std::vector<size_t> next(similar.begin.begin(), similar.begin.end() - 1);
+  similar.edges.resize(similar.begin.back());
+  for (EdgeChunk& c : chunks) {
+    for (const Edge& e : c.edges) {
+      similar.edges[next[e.from]++] = {e.to, e.k, e.sim};
+    }
+    std::vector<Edge>().swap(c.edges);
+  }
+  for (size_t t = 0; t < num_probe_texts; ++t) {
+    std::sort(similar.edges.begin() + similar.begin[t],
+              similar.edges.begin() + similar.begin[t + 1],
+              [](const SimilarTexts::Neighbor& a,
+                 const SimilarTexts::Neighbor& b) {
+                return a.k != b.k ? a.k < b.k : a.text < b.text;
+              });
+  }
+  return similar;
+}
+
+/// Expands one probe occurrence's similar texts into its occurrence
+/// pairs, in the per-occurrence join's emission order: by first shared
+/// prefix position k, then by ascending candidate position (the order
+/// of the posting list scanned at k). Candidates count only below
+/// position `limit` and in another record. Writes the pairs to `out`
+/// when kFill, else only counts them; returns the count.
+template <bool kFill>
+size_t ExpandProbe(const LabeledValue& probe, uint32_t text, size_t limit,
+                   const SimilarTexts& similar, const Side& base,
+                   std::vector<std::pair<uint32_t, double>>* group,
+                   ValuePair* out) {
+  size_t n = 0;
+  const SimilarTexts::Neighbor* e = similar.edges.data() + similar.begin[text];
+  const SimilarTexts::Neighbor* end =
+      similar.edges.data() + similar.begin[text + 1];
+  while (e < end) {
+    const SimilarTexts::Neighbor* group_end = e;
+    while (group_end < end && group_end->k == e->k) ++group_end;
+    group->clear();
+    for (const SimilarTexts::Neighbor* it = e; it < group_end; ++it) {
+      for (uint32_t i = base.pos_begin[it->text];
+           i < base.pos_begin[it->text + 1]; ++i) {
+        const uint32_t pos = base.pos[i];
+        if (pos >= limit) break;
+        if (base.occ[pos]->label.rid == probe.label.rid) continue;
+        if (kFill) {
+          group->emplace_back(pos, it->sim);
+        } else {
+          ++n;
+        }
+      }
+    }
+    if (kFill) {
+      if (group_end - e > 1) std::sort(group->begin(), group->end());
+      for (const auto& [pos, sim] : *group) {
+        out[n++] = {probe.label, base.occ[pos]->label, sim};
+      }
+    }
+    e = group_end;
+  }
+  return n;
+}
 
 /// One posting entry: the indexed set and the token's position in it,
 /// which the positional filter reasons about at probe time.
@@ -340,7 +528,6 @@ Status NestedLoopJoin::Join(const std::vector<LabeledValue>& values,
   ThreadPool* pool = executor();
   const bool rec = collect_worker_spans() && report != nullptr &&
                    pool != nullptr && pool->size() > 1;
-  PairSimCache* pair_cache = PairCacheFor(simv);
   const size_t n = values.size();
   const size_t grain = DefaultGrain(n, pool ? pool->size() : 1);
   std::vector<ChunkOut> chunks(NumChunks(n, grain));
@@ -360,13 +547,7 @@ Status NestedLoopJoin::Join(const std::vector<LabeledValue>& values,
             if (values[i].label.rid == values[j].label.rid) continue;
             ++co.counters.candidates;
             ++co.counters.verified;
-            const Value& va = values[i].value;
-            const Value& vb = values[j].value;
-            double s = (pair_cache && va.is_string() && vb.is_string())
-                           ? pair_cache->GetOrCompute(
-                                 va.AsString(), vb.AsString(),
-                                 [&] { return simv.Compute(va, vb); })
-                           : simv.Compute(va, vb);
+            double s = simv.Compute(values[i].value, values[j].value);
             if (s >= xi) co.pairs.push_back({values[i].label, values[j].label, s});
           }
         }
@@ -391,7 +572,6 @@ Status NestedLoopJoin::JoinAB(const std::vector<LabeledValue>& probe,
   ThreadPool* pool = executor();
   const bool rec = collect_worker_spans() && report != nullptr &&
                    pool != nullptr && pool->size() > 1;
-  PairSimCache* pair_cache = PairCacheFor(simv);
   const size_t n = probe.size();
   const size_t grain = DefaultGrain(n, pool ? pool->size() : 1);
   std::vector<ChunkOut> chunks(NumChunks(n, grain));
@@ -412,11 +592,7 @@ Status NestedLoopJoin::JoinAB(const std::vector<LabeledValue>& probe,
             if (p.label.rid == b.label.rid) continue;
             ++co.counters.candidates;
             ++co.counters.verified;
-            double s = (pair_cache && p.value.is_string() && b.value.is_string())
-                           ? pair_cache->GetOrCompute(
-                                 p.value.AsString(), b.value.AsString(),
-                                 [&] { return simv.Compute(p.value, b.value); })
-                           : simv.Compute(p.value, b.value);
+            double s = simv.Compute(p.value, b.value);
             if (s >= xi) co.pairs.push_back({p.label, b.label, s});
           }
         }
@@ -559,13 +735,18 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   }
 
   // ---- Token path: AllPairs with length + prefix filters, plus
-  // positional/suffix filters when the threshold is exact.
+  // positional/suffix filters when the threshold is exact. It runs on
+  // distinct values: every phase up to verification sees each distinct
+  // value once, and the expansion at the end turns the similar distinct
+  // pairs back into occurrence pairs, in the order a join over the
+  // occurrences themselves would emit them (docs/performance.md).
   const bool exact_jaccard = IsJaccardMetric(simv, q_);
-  const VerifyPlan plan =
-      MakeVerifyPlan(simv, q_, encoded_kernels_, PairCacheFor(simv));
+  const VerifyPlan plan = MakeVerifyPlan(simv, q_, encoded_kernels_);
   // For non-Jaccard metrics the gram filter is only a blocker; run it
   // at a slackened threshold so near-threshold true pairs survive.
   const double filter_xi = exact_jaccard ? xi : xi * filter_slack_;
+  const DistinctValues distinct = Intern(texts);
+  const size_t nd = distinct.value.size();
 
   // Tokenize (parallel): normalization + gram extraction, the
   // embarrassingly parallel part. Grams come from the shared TokenCache
@@ -576,104 +757,135 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   std::vector<TokenCache::GramsPtr> shared_grams;
   std::vector<std::vector<std::string>> owned_grams;
   if (cache) {
-    shared_grams.resize(texts.size());
+    shared_grams.resize(nd);
   } else {
-    owned_grams.resize(texts.size());
+    owned_grams.resize(nd);
   }
   {
-    const size_t n = texts.size();
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
-        pool, n, DefaultGrain(n, nworkers),
+        pool, nd, DefaultGrain(nd, nworkers),
         [&](size_t /*chunk*/, size_t begin, size_t end, size_t /*worker*/) {
-          for (size_t k = begin; k < end; ++k) {
-            std::string normalized = Normalize(texts[k]->value.ToString());
+          for (size_t t = begin; t < end; ++t) {
+            std::string normalized = Normalize(distinct.value[t]->ToString());
             if (cache) {
-              shared_grams[k] = cache->Grams(normalized);
+              shared_grams[t] = cache->Grams(normalized);
             } else {
-              owned_grams[k] = QgramSet(normalized, q_);
+              owned_grams[t] = QgramSet(normalized, q_);
             }
           }
         },
         rec);
     AccumulateBusy(stats, report, "join.tokenize", phase_t0);
   }
-  auto grams_of = [&](size_t k) -> const std::vector<std::string>& {
-    return cache ? *shared_grams[k] : owned_grams[k];
+  auto grams_of = [&](size_t t) -> const std::vector<std::string>& {
+    return cache ? *shared_grams[t] : owned_grams[t];
   };
 
   // Dictionary build + encoding (serial): both mutate the dictionary.
-  // Ids follow ascending global gram frequency, so they do not depend
-  // on the order grams are added in.
+  // Ids follow ascending global gram frequency, counted per occurrence,
+  // so they do not depend on the order grams are added in.
   QgramDictionary dict(q_);
-  for (size_t k = 0; k < texts.size(); ++k) dict.AddGrams(grams_of(k));
+  for (size_t t = 0; t < nd; ++t) dict.AddGrams(grams_of(t), distinct.count[t]);
   dict.Freeze();
-  std::vector<TokenSet> base_sets, probe_sets;
-  for (size_t k = 0; k < texts.size(); ++k) {
-    std::vector<uint32_t> ids = dict.EncodeGrams(grams_of(k));
-    if (ids.empty()) continue;  // Nothing to match on.
-    (k < base_texts ? base_sets : probe_sets)
-        .push_back({texts[k], std::move(ids)});
-  }
+  std::vector<std::vector<uint32_t>> ids(nd);
+  for (size_t t = 0; t < nd; ++t) ids[t] = dict.EncodeGrams(grams_of(t));
   shared_grams.clear();
   owned_grams.clear();
-  // The self-join probes its own sets in ascending size order.
+
+  // Occurrence sides. An empty gram set has nothing to match on. The
+  // self-join visits its occurrences in ascending gram-set size, sorted
+  // with the same std::sort and size-only comparator over the same
+  // sequence of sizes as a per-occurrence join, so the permutation (and
+  // with it the emission order) is the same.
+  auto order_of = [&](size_t begin, size_t end) {
+    std::vector<uint32_t> order;
+    for (size_t k = begin; k < end; ++k) {
+      if (!ids[distinct.of[k]].empty()) {
+        order.push_back(static_cast<uint32_t>(k));
+      }
+    }
+    return order;
+  };
+  std::vector<uint32_t> base_order = order_of(0, base_texts);
   if (self) {
-    std::sort(base_sets.begin(), base_sets.end(),
-              [](const TokenSet& a, const TokenSet& b) {
-                return a.ids.size() < b.ids.size();
+    std::sort(base_order.begin(), base_order.end(),
+              [&](uint32_t a, uint32_t b) {
+                return ids[distinct.of[a]].size() < ids[distinct.of[b]].size();
               });
   }
-  const std::vector<TokenSet>& probes = self ? base_sets : probe_sets;
+  const Side base_side = MakeSide(base_order, texts, distinct);
+  std::vector<uint32_t>().swap(base_order);
+  const Side probe_side =
+      self ? Side{} : MakeSide(order_of(base_texts, texts.size()), texts,
+                               distinct);
+  const Side& probes = self ? base_side : probe_side;
+  auto ids_of = [&](const Side& side,
+                    size_t t) -> const std::vector<uint32_t>& {
+    return ids[side.texts[t]];
+  };
+  auto value_of = [&](const Side& side, size_t t) -> const Value& {
+    return *distinct.value[side.texts[t]];
+  };
 
-  // Posting build (serial), in base set order; the posting ceiling is
-  // applied in that same order. The self-join indexes each set's
-  // prefix: since its lists are ascending, a probe that stops scanning
-  // at its own position (cj >= pi below) sees exactly the lists as they
-  // stood when a serial build-while-probing loop reached it. Probing a
-  // base indexes every base token, so only the probe's prefix filters.
+  // Posting build (serial), in base text order; the posting ceiling
+  // caps distinct-text entries, in that same order. The self-join
+  // indexes each text's prefix: since its texts ascend in size, a probe
+  // that stops scanning at its own index (cj >= pi below) sees exactly
+  // the lists as they stood when a serial build-while-probing loop
+  // reached it. Probing a base indexes every base token, so only the
+  // probe's prefix filters.
+  const size_t nb = base_side.texts.size();
   PostingTable postings(guard.max_posting_list());
-  for (size_t si = 0; si < base_sets.size(); ++si) {
-    const std::vector<uint32_t>& ids = base_sets[si].ids;
-    postings.Add(ids, self ? PrefixLen(ids.size(), filter_xi) : ids.size(),
-                 si);
+  for (size_t si = 0; si < nb; ++si) {
+    const std::vector<uint32_t>& y = ids_of(base_side, si);
+    postings.Add(y, self ? PrefixLen(y.size(), filter_xi) : y.size(), si);
   }
 
-  // Probe (parallel). Candidates for probe pi are base sets sharing a
-  // prefix token with it and passing the length filter: one-sided
-  // (|y| >= filter_xi * |x|) for the self-join, whose earlier sets are
-  // never longer, two-sided against a base. Dedup markers, candidate
-  // buffers, and list buffers are per-worker and reused across
-  // chunks; marker values are probe indices, which are globally
-  // unique, so no resets are needed. Each probe gathers its posting
-  // lists first, which sizes the candidate buffer from the posting
-  // lengths and prefetches the list heads before the scan. The guard
-  // is hoisted to a per-probe stride, weighted by the probe's work: its
-  // prefix, its candidate batch and, against a base, the gathered list
-  // lengths too. Full base lists can be long while few
-  // entries survive the filters, so that scan is ticked before it runs;
-  // no candidate is counted yet there, so shed accounting stays exact.
+  // Probe (parallel), one probe per distinct text. Candidates for probe
+  // pi are base texts sharing a prefix token with it and passing the
+  // length filter: one-sided (|y| >= filter_xi * |x|) for the
+  // self-join, whose earlier texts are never longer, two-sided against
+  // a base. The self-join also pairs a text with its own other
+  // occurrences when they lie in another record: the per-occurrence
+  // join found those at k = 0. Dedup markers, candidate buffers, and
+  // list buffers are per-worker and reused across chunks; marker values
+  // are probe indices, which are globally unique, so no resets are
+  // needed. Each probe gathers its posting lists first, which sizes the
+  // candidate buffer from the posting lengths and prefetches the list
+  // heads before the scan. The guard is hoisted to a per-probe stride,
+  // weighted by the probe's work: its prefix, its candidate batch and,
+  // against a base, the gathered list lengths too. Full base lists can
+  // be long while few entries survive the filters, so that scan is
+  // ticked before it runs; no candidate is counted yet there, so shed
+  // accounting stays exact.
+  struct Candidate {
+    size_t set;
+    size_t k;    // Position of the first shared prefix token in the probe.
+    size_t pos;  // Its position in the candidate.
+  };
+  const size_t np = probes.texts.size();
+  std::vector<EdgeChunk> edge_chunks;
   {
-    const size_t n = probes.size();
-    const size_t grain = DefaultGrain(n, nworkers);
-    std::vector<ChunkOut> chunks(NumChunks(n, grain));
+    const size_t grain = DefaultGrain(np, nworkers);
+    edge_chunks.resize(NumChunks(np, grain));
     std::vector<std::vector<size_t>> markers(
-        nworkers, std::vector<size_t>(base_sets.size(), SIZE_MAX));
-    std::vector<std::vector<size_t>> cand_bufs(nworkers);
+        nworkers, std::vector<size_t>(nb, SIZE_MAX));
+    std::vector<std::vector<Candidate>> cand_bufs(nworkers);
     std::vector<std::vector<const PostingTable::List*>> list_bufs(nworkers);
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
-        pool, n, grain,
+        pool, np, grain,
         [&](size_t chunk, size_t begin, size_t end, size_t worker) {
-          ChunkOut& co = chunks[chunk];
+          EdgeChunk& co = edge_chunks[chunk];
           std::vector<size_t>& candidate_of = markers[worker];
-          std::vector<size_t>& candidates = cand_bufs[worker];
+          std::vector<Candidate>& candidates = cand_bufs[worker];
           std::vector<const PostingTable::List*>& lists = list_bufs[worker];
           GuardTicker ticker(guard);
           for (size_t pi = begin;
                pi < end && !stop.load(std::memory_order_relaxed); ++pi) {
-            const TokenSet& x = probes[pi];
-            const size_t len_x = x.ids.size();
+            const std::vector<uint32_t>& x = ids_of(probes, pi);
+            const size_t len_x = x.size();
             const size_t prefix = PrefixLen(len_x, filter_xi);
             if (ticker.Tick(1 + prefix)) {
               stop.store(true, std::memory_order_relaxed);
@@ -684,7 +896,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                 (self || filter_xi <= 0.0)
                     ? std::numeric_limits<double>::infinity()
                     : static_cast<double>(len_x) / filter_xi;
-            postings.Gather(x.ids, prefix, &lists);
+            postings.Gather(x, prefix, &lists);
             size_t expected = 0;
             for (const PostingTable::List* list : lists) {
               if (list == nullptr) continue;
@@ -696,8 +908,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
               break;
             }
             candidates.clear();
-            candidates.reserve(
-                std::min(expected, self ? pi : base_sets.size()));
+            candidates.reserve(std::min(expected, self ? pi + 1 : nb));
+            if (self && base_side.InSeveralRecords(static_cast<uint32_t>(pi))) {
+              candidates.push_back({pi, 0, 0});
+            }
             for (size_t k = 0; k < prefix; ++k) {
               const PostingTable::List* list = lists[k];
               if (list == nullptr) continue;
@@ -712,16 +926,14 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                 // its order.
                 candidate_of[cj] = pi;
                 ++co.counters.encountered;
-                const double len_y =
-                    static_cast<double>(base_sets[cj].ids.size());
+                const std::vector<uint32_t>& y = ids_of(base_side, cj);
+                const double len_y = static_cast<double>(y.size());
                 if (len_y < min_len || len_y > max_len) {
                   ++co.counters.pruned_length;
                   continue;
                 }
                 if (plan.exact_filters) {
-                  int pruned = PositionalSuffixFilter(x.ids, k,
-                                                      base_sets[cj].ids,
-                                                      e.pos, xi);
+                  int pruned = PositionalSuffixFilter(x, k, y, e.pos, xi);
                   if (pruned != 0) {
                     if (pruned == 1) {
                       ++co.counters.pruned_positional;
@@ -731,7 +943,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                     continue;
                   }
                 }
-                candidates.push_back(cj);
+                candidates.push_back({cj, k, e.pos});
               }
             }
 
@@ -746,31 +958,120 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
             }
             // Pull the candidates' token sets toward the cache ahead
             // of the verify scan.
-            for (size_t cj : candidates) {
-              HERA_PREFETCH_READ(base_sets[cj].ids.data());
+            for (const Candidate& c : candidates) {
+              HERA_PREFETCH_READ(ids_of(base_side, c.set).data());
             }
-            for (size_t cj : candidates) {
-              const TokenSet& y = base_sets[cj];
-              const LabeledValue& va = *x.value;
-              const LabeledValue& vb = *y.value;
-              if (va.label.rid == vb.label.rid) continue;
+            const uint32_t from = static_cast<uint32_t>(pi);
+            for (const Candidate& c : candidates) {
+              const uint32_t to = static_cast<uint32_t>(c.set);
+              const std::vector<uint32_t>& y = ids_of(base_side, to);
               ++co.counters.verified;
-              double s = VerifyStringPair(plan, simv, xi, x.ids, y.ids,
-                                          va.value, vb.value);
-              if (s >= xi) co.pairs.push_back({va.label, vb.label, s});
+              const double s = VerifyStringPair(plan, simv, xi, x, y,
+                                                value_of(probes, from),
+                                                value_of(base_side, to));
+              if (s >= xi) {
+                ++co.counters.distinct_emitted;
+                co.edges.push_back({from, to, static_cast<uint32_t>(c.k), s});
+              }
+              // Equal-size texts interleave in the size-sorted order,
+              // so y also probes x when one of y's occurrences comes
+              // after x's first. That orientation shares the same first
+              // prefix token, at y's position, and passes the same
+              // filters; the kernel scores it the same, the metric is
+              // asked again.
+              if (!self || to == from || y.size() != len_x ||
+                  base_side.last_pos(to) <= base_side.first_pos(from)) {
+                continue;
+              }
+              double r = s;
+              if (!plan.use_kernel) {
+                ++co.counters.candidates;
+                ++co.counters.verified;
+                r = VerifyStringPair(plan, simv, xi, y, x,
+                                     value_of(base_side, to),
+                                     value_of(probes, from));
+                if (r >= xi) ++co.counters.distinct_emitted;
+              }
+              if (r >= xi) {
+                co.edges.push_back({to, from, static_cast<uint32_t>(c.pos), r});
+              }
             }
           }
         },
         rec);
-    MergeChunks(chunks, out, &totals);
+    for (const EdgeChunk& c : edge_chunks) totals.Fold(c.counters);
     AccumulateBusy(stats, report, "join.probe", phase_t0);
   }
+  const SimilarTexts similar = MakeSimilarTexts(np, edge_chunks);
 
-  const size_t nb = base_sets.size();
-  const size_t token_pairs =
-      self ? nb * (nb - (nb == 0 ? 0 : 1)) / 2 : probes.size() * nb;
+  // Expand (parallel, two passes) unless the guard already tripped, in
+  // which case the distinct pairs are incomplete and no token pair is
+  // emitted. Pass one counts each probe occurrence's pairs and ticks the
+  // guard by that count before they are kept, since 200 records of one
+  // text are one distinct pair but 19,900 occurrence pairs; a trip keeps
+  // the probes before the first one not counted, a prefix of the
+  // emission order. Pass two writes each probe's pairs into its slice of
+  // `out` in place. The self-join pairs a probe only with occurrences
+  // before it; a base is paired in full.
+  if (!stop.load(std::memory_order_relaxed)) {
+    const size_t n = probes.occ.size();
+    const size_t grain = DefaultGrain(n, nworkers);
+    const size_t num_chunks = NumChunks(n, grain);
+    std::vector<size_t> offsets(n + 1, 0);
+    std::vector<size_t> reached(num_chunks);
+    for (size_t c = 0; c < num_chunks; ++c) reached[c] = c * grain;
+    std::vector<std::vector<std::pair<uint32_t, double>>> groups(nworkers);
+    auto limit_of = [&](size_t p) { return self ? p : base_side.occ.size(); };
+    const double phase_t0 = join_timer.ElapsedMicros();
+    ParallelRunStats stats = ParallelChunks(
+        pool, n, grain,
+        [&](size_t chunk, size_t begin, size_t end, size_t worker) {
+          GuardTicker ticker(guard);
+          for (size_t p = begin;
+               p < end && !stop.load(std::memory_order_relaxed); ++p) {
+            const size_t count = ExpandProbe<false>(
+                *probes.occ[p], probes.text_at[p], limit_of(p), similar,
+                base_side, &groups[worker], nullptr);
+            if (ticker.Tick(1 + count)) {
+              stop.store(true, std::memory_order_relaxed);
+              break;
+            }
+            offsets[p + 1] = count;
+            reached[chunk] = p + 1;
+          }
+        },
+        rec);
+    AccumulateBusy(stats, report, "join.expand", phase_t0);
+    size_t kept = n;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      if (reached[c] < std::min(n, (c + 1) * grain)) {
+        kept = reached[c];
+        break;
+      }
+    }
+    std::partial_sum(offsets.begin(), offsets.begin() + kept + 1,
+                     offsets.begin());
+    const size_t first = out->size();
+    out->resize(first + offsets[kept]);
+    ValuePair* slots = out->data() + first;
+    const double fill_t0 = join_timer.ElapsedMicros();
+    ParallelRunStats fill_stats = ParallelChunks(
+        pool, kept, DefaultGrain(kept, nworkers),
+        [&](size_t /*chunk*/, size_t begin, size_t end, size_t worker) {
+          for (size_t p = begin; p < end; ++p) {
+            ExpandProbe<true>(*probes.occ[p], probes.text_at[p], limit_of(p),
+                              similar, base_side, &groups[worker],
+                              slots + offsets[p]);
+          }
+        },
+        rec);
+    AccumulateBusy(fill_stats, report, "join.expand", fill_t0);
+  }
+
+  const size_t token_pairs = self ? nb * (nb - (nb == 0 ? 0 : 1)) / 2 : np * nb;
   FinishReport(report, totals, stop.load(std::memory_order_relaxed),
                postings.shed(), token_pairs, *out);
+  if (report != nullptr) report->distinct_values = nd;
   return Status::OK();
 }
 

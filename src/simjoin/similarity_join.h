@@ -48,14 +48,14 @@ struct JoinReport {
   /// result is a subset, never wrong).
   bool truncated = false;
   /// Posting-list entries dropped by the guard's max_posting_list
-  /// ceiling; candidate recall may be reduced.
+  /// ceiling (one entry per distinct text on the prefix-filter join);
+  /// candidate recall may be reduced.
   size_t shed_posting_entries = 0;
   /// Value pairs surfaced by candidate generation (for the nested-loop
   /// join every cross-record pair is a candidate).
   size_t candidates = 0;
   /// Candidates scored by the similarity metric (== candidates unless
-  /// truncated mid-verification or pruned by the positional/suffix
-  /// filters below).
+  /// the guard tripped mid-verification).
   size_t verified = 0;
   /// Candidates generated but dropped unverified at a guard trip
   /// boundary — exact at the trip, including the batch whose weighted
@@ -78,6 +78,14 @@ struct JoinReport {
   size_t pruned_length = 0;
   size_t pruned_positional = 0;
   size_t pruned_suffix = 0;
+  /// Distinct token-path values (the prefix-filter join interns its
+  /// string-path values by exact payload and joins each once; 0 for the
+  /// nested-loop join). On that path `candidates`, `verified` and the
+  /// pruned counters count pairs of distinct values, not occurrences.
+  size_t distinct_values = 0;
+  /// Distinct-value verifications that met xi; each expands into the
+  /// occurrence pairs counted by `emitted`.
+  size_t distinct_emitted = 0;
   /// Worker threads the join's parallel phases ran on (1 = serial).
   size_t threads_used = 1;
   /// Per-worker busy microseconds summed across the join's parallel
@@ -86,7 +94,7 @@ struct JoinReport {
   std::vector<double> worker_busy_us;
   /// One chunk executed on a pool worker in one of the join's parallel
   /// phases ("join.numeric", "join.tokenize", "join.probe",
-  /// "join.nested"). Collected only when the joiner's
+  /// "join.expand", "join.nested"). Collected only when the joiner's
   /// SetCollectWorkerSpans is on and a pool is installed; start_us is
   /// relative to the join call's entry. Feeds the trace export's
   /// per-worker tracks.
@@ -130,16 +138,9 @@ class SimilarityJoin {
   void SetExecutor(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* executor() const { return pool_; }
 
-  /// Shares a verified-pair similarity cache across joins and rounds:
-  /// metric verification of string pairs is served from it when the
-  /// cache was built for the same metric (Name() match). Scores are a
-  /// pure function of the two texts, so caching never changes results.
-  /// Kernel-eligible metrics bypass it (the kernel is cheaper than the
-  /// lookup); it pays off for edit/Jaro/Monge–Elkan-style metrics.
-  void SetPairSimCache(std::shared_ptr<PairSimCache> cache) {
-    pair_cache_ = std::move(cache);
-  }
-  const PairSimCache* pair_sim_cache() const { return pair_cache_.get(); }
+  /// Ignored (see sim/pair_cache.h); remains only for perfbench's
+  /// traced run until a benchmark change drops the call.
+  void SetPairSimCache(std::shared_ptr<PairSimCache> /*cache*/) {}
 
   /// Records per-chunk worker spans into JoinReport::worker_spans (two
   /// extra clock reads per chunk; off by default). Recording never
@@ -166,17 +167,8 @@ class SimilarityJoin {
                         const RunGuard& guard, std::vector<ValuePair>* out,
                         JoinReport* report = nullptr) const = 0;
 
- protected:
-  /// The installed cache when it matches `simv`, else nullptr.
-  PairSimCache* PairCacheFor(const ValueSimilarity& simv) const {
-    return (pair_cache_ && pair_cache_->metric_name() == simv.Name())
-               ? pair_cache_.get()
-               : nullptr;
-  }
-
  private:
   ThreadPool* pool_ = nullptr;
-  std::shared_ptr<PairSimCache> pair_cache_;
   bool collect_worker_spans_ = false;
 };
 
@@ -206,24 +198,34 @@ class NestedLoopJoin : public SimilarityJoin {
 /// threshold is exact — then verification on the encoded token sets
 /// (kernel-eligible metrics) or with the actual metric.
 ///
-/// Both entry points run one pipeline: a numeric sweep, a tokenize
-/// phase, a dictionary build, a posting build, and one probe loop with
-/// its filter/verify body. They differ only in what probes what.
-/// Join() probes each set, in ascending-size order, against the prefix
-/// lists of the sets before it, with a one-sided length filter. JoinAB()
-/// probes each probe set against the base's full lists, with a
-/// two-sided length filter. Counters follow the same definitions in
-/// both: a candidate is counted before the same-record skip, and the
-/// batch in flight at a guard trip is counted shed. JoinAB also ticks
-/// the guard on each probe's gathered postings before scanning them,
-/// since full base lists can be long while few entries pass the filters.
+/// Both entry points run one pipeline: a numeric sweep, then the token
+/// path over each distinct value: interning, tokenizing, a dictionary
+/// build, a posting build, and one probe loop with its filter/verify
+/// body; then an expansion of the similar distinct pairs into labeled
+/// occurrence pairs. Values are interned by exact payload (a string by
+/// its text, a number by its bit pattern), so every distinct text is
+/// tokenized, indexed and verified once however often it occurs. The
+/// entry points differ only in what probes what. Join() probes each
+/// distinct set, in ascending-size order, against the prefix lists of
+/// the sets before it, with a one-sided length filter, and pairs a text
+/// that occurs in several records with itself. JoinAB() probes each
+/// distinct probe set against the base's full lists, with a two-sided
+/// length filter. Counters follow the same definitions in both, over
+/// distinct pairs: a candidate is verified unless the guard trips, and
+/// the batch in flight at a guard trip is counted shed. JoinAB also
+/// ticks the guard on each probe's gathered postings before scanning
+/// them, since full base lists can be long while few entries pass the
+/// filters. The expansion ticks the guard by the pairs it expands.
 ///
 /// Emission order is part of the contract. The output is the numeric
-/// pairs, then the token pairs, each in probe order (for Join, sorted
-/// value order and ascending set size), and within one probe in
-/// posting-scan order. ValuePairIndex assigns pids in this order, and
-/// pids break ties among equal-similarity pairs, so the order is
-/// byte-identical across thread counts.
+/// pairs, then the token pairs in the order a join over the occurrences
+/// themselves would emit them: by probe occurrence (for Join, the
+/// occurrences sorted by set size), then by the probe's first prefix
+/// position shared with the candidate, then by candidate occurrence.
+/// ValuePairIndex assigns pids in this order, and pids break ties among
+/// equal-similarity pairs, so the order is byte-identical across thread
+/// counts. The guard's max_posting_list ceiling caps distinct-text
+/// entries per list.
 ///
 /// The filter stack is *exact* (no false negatives) when the metric is
 /// q-gram Jaccard with the same q — HERA's default; the positional and

@@ -54,9 +54,10 @@ void QgramDictionary::Add(std::string_view s) {
   AddGrams(QgramSet(s, q_));
 }
 
-void QgramDictionary::AddGrams(const std::vector<std::string>& grams) {
+void QgramDictionary::AddGrams(const std::vector<std::string>& grams,
+                               uint64_t count) {
   assert(!frozen_);
-  for (const std::string& g : grams) ++counts_[g];
+  for (const std::string& g : grams) counts_[g] += count;
 }
 
 void QgramDictionary::Freeze() {

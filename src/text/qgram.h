@@ -45,8 +45,10 @@ class QgramDictionary {
 
   /// Counts an already-extracted gram set (pass 1); `grams` must be the
   /// QgramSet of one string (sorted, deduplicated). Lets callers that
-  /// intern gram sets (text/token_cache.h) skip re-extraction.
-  void AddGrams(const std::vector<std::string>& grams);
+  /// intern gram sets (text/token_cache.h) skip re-extraction. `count`
+  /// adds the set that many times, as if once per occurrence of a
+  /// string that recurs: ids depend on occurrence frequencies.
+  void AddGrams(const std::vector<std::string>& grams, uint64_t count = 1);
 
   /// Assigns ids: rarest gram gets the smallest id. Must be called once
   /// after all Add() calls and before Encode().

@@ -1,9 +1,9 @@
-// Tests for the integer-encoded similarity kernels (sim/kernel.h), the
-// verified-pair cache (sim/pair_cache.h), and the invariants the join
-// and engine build on them: every kernel score is bit-equal to the
-// string-path metric, the threshold-bounded forms never change which
-// pairs survive, and flipping the kernels / pair-cache knobs leaves
-// labels and merge sequences byte-identical at every thread count.
+// Tests for the integer-encoded similarity kernels (sim/kernel.h) and
+// the invariants the join and engine build on them: every kernel score
+// is bit-equal to the string-path metric, the threshold-bounded forms
+// never change which pairs survive, and flipping the kernels knob
+// leaves labels and merge sequences byte-identical at every thread
+// count.
 
 #include "sim/kernel.h"
 
@@ -27,7 +27,6 @@
 #include "data/publication_generator.h"
 #include "matching/weight_kernel.h"
 #include "sim/metrics.h"
-#include "sim/pair_cache.h"
 #include "simjoin/similarity_join.h"
 #include "text/normalize.h"
 #include "text/qgram.h"
@@ -489,48 +488,6 @@ TEST(KernelBitEqualityTest, NewMetricRegistryEntriesResolve) {
   EXPECT_EQ(MakeSimilarity("overlap_qx"), nullptr);
 }
 
-// ------------------------------------------------------- PairSimCache
-
-TEST(PairSimCacheTest, HitsMissesAndOrderSensitivity) {
-  PairSimCache cache("edit");
-  EXPECT_EQ(cache.metric_name(), "edit");
-  int calls = 0;
-  auto score = [&] { ++calls; return 0.75; };
-  EXPECT_EQ(cache.GetOrCompute("abc", "abd", score), 0.75);
-  EXPECT_EQ(cache.GetOrCompute("abc", "abd", score), 0.75);
-  EXPECT_EQ(calls, 1);
-  // Reversed arguments are a different key (asymmetric metrics).
-  EXPECT_EQ(cache.GetOrCompute("abd", "abc", score), 0.75);
-  EXPECT_EQ(calls, 2);
-  PairSimCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 2u);
-}
-
-TEST(PairSimCacheTest, LengthFramedKeysDoNotCollide) {
-  PairSimCache cache("edit");
-  // ("ab", "c") and ("a", "bc") concatenate identically; the length
-  // frame must keep them distinct.
-  cache.GetOrCompute("ab", "c", [] { return 0.1; });
-  EXPECT_EQ(cache.GetOrCompute("a", "bc", [] { return 0.9; }), 0.9);
-  EXPECT_EQ(cache.stats().entries, 2u);
-}
-
-TEST(PairSimCacheTest, CapacityCeilingDegradesToPassThrough) {
-  PairSimCache cache("edit", /*max_entries=*/1);
-  cache.GetOrCompute("a", "b", [] { return 0.5; });
-  EXPECT_EQ(cache.GetOrCompute("c", "d", [] { return 0.25; }), 0.25);
-  PairSimCache::Stats s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.skipped_inserts, 1u);
-  // The retained entry still serves.
-  cache.GetOrCompute("a", "b", [] { return -1.0; });
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
 // --------------------------------------------- join-level equivalence
 
 using PairTuple = std::tuple<uint32_t, uint32_t, uint32_t, uint32_t, uint32_t,
@@ -648,41 +605,6 @@ TEST(KernelJoinTest, FilterCountersAreConsistent) {
   EXPECT_EQ(AsTuples(out), AsTuples(out_off));
 }
 
-TEST(KernelJoinTest, PairCacheServesRepeatVerificationsUnchanged) {
-  Dataset ds = SmallMovies(80, 5);
-  std::vector<LabeledValue> values = ValuesOf(ds);
-  // edit is not kernel-eligible, so verification goes through the
-  // metric — and through the cache when one is installed.
-  auto metric = MakeSimilarity("edit");
-  ASSERT_NE(metric, nullptr);
-  std::vector<ValuePair> plain, cached1, cached2;
-  PrefixFilterJoin join;
-  ASSERT_TRUE(join.Join(values, *metric, 0.6, RunGuard(), &plain).ok());
-  PrefixFilterJoin cjoin;
-  auto cache = std::make_shared<PairSimCache>(metric->Name());
-  cjoin.SetPairSimCache(cache);
-  ASSERT_TRUE(cjoin.Join(values, *metric, 0.6, RunGuard(), &cached1).ok());
-  ASSERT_TRUE(cjoin.Join(values, *metric, 0.6, RunGuard(), &cached2).ok());
-  EXPECT_EQ(AsTuples(plain), AsTuples(cached1));
-  EXPECT_EQ(AsTuples(cached1), AsTuples(cached2));
-  PairSimCache::Stats s = cache->stats();
-  EXPECT_GT(s.misses, 0u);
-  EXPECT_GT(s.hits, 0u);  // Second join is served from the cache.
-}
-
-TEST(KernelJoinTest, MismatchedCacheMetricIsIgnored) {
-  Dataset ds = SmallMovies(60, 9);
-  std::vector<LabeledValue> values = ValuesOf(ds);
-  auto metric = MakeSimilarity("edit");
-  PrefixFilterJoin join;
-  auto cache = std::make_shared<PairSimCache>("jaro_winkler");
-  join.SetPairSimCache(cache);
-  std::vector<ValuePair> out;
-  ASSERT_TRUE(join.Join(values, *metric, 0.6, RunGuard(), &out).ok());
-  // Name mismatch: the cache must never be consulted.
-  EXPECT_EQ(cache->stats().hits + cache->stats().misses, 0u);
-}
-
 // ------------------------------------------------ engine determinism
 
 struct RunSignature {
@@ -717,7 +639,7 @@ TEST(KernelEngineTest, KnobsAndThreadsNeverChangeTheRun) {
   const Dataset datasets[] = {GenerateMovieDataset(mconfig),
                               GeneratePublicationDataset(pconfig)};
   for (const Dataset& ds : datasets) {
-    HeraOptions base;  // kernels on, pair cache on, serial.
+    HeraOptions base;  // kernels on, serial.
     auto want_result = Hera(base).Run(ds);
     ASSERT_TRUE(want_result.ok());
     ASSERT_GT(want_result->stats.merges, 0u);
@@ -725,25 +647,19 @@ TEST(KernelEngineTest, KnobsAndThreadsNeverChangeTheRun) {
     struct Config {
       size_t threads;
       bool kernels;
-      bool cache;
     };
     const Config configs[] = {
-        {0, false, true},  {0, true, false}, {0, false, false},
-        {4, true, true},   {4, false, true}, {4, true, false},
-        {8, true, true},   {8, false, false},
+        {0, false}, {4, true}, {4, false}, {8, true}, {8, false},
     };
     for (const Config& c : configs) {
       HeraOptions opts;
       opts.num_threads = c.threads;
       opts.use_encoded_kernels = c.kernels;
-      opts.enable_pair_sim_cache = c.cache;
       auto got = Hera(opts).Run(ds);
       ASSERT_TRUE(got.ok());
-      ExpectSameSignature(
-          want, SignatureOf(*got),
-          "threads=" + std::to_string(c.threads) +
-              " kernels=" + std::to_string(c.kernels) +
-              " cache=" + std::to_string(c.cache));
+      ExpectSameSignature(want, SignatureOf(*got),
+                          "threads=" + std::to_string(c.threads) +
+                              " kernels=" + std::to_string(c.kernels));
     }
   }
 }

@@ -495,10 +495,16 @@ TEST(ObsIntegrationTest, CollectReportFillsEverySection) {
   EXPECT_EQ(pruned, result->stats.pruned_by_bound);
   EXPECT_EQ(verified, result->stats.candidates);
 
-  // Metric snapshot: join counters and the index gauge.
+  // Metric snapshot: join counters and the index gauge. Candidates and
+  // verifications count distinct-value pairs, each of which may expand
+  // into several emitted occurrence pairs.
   EXPECT_GT(r.counters.at("simjoin.emitted"), 0u);
+  EXPECT_GT(r.counters.at("simjoin.distinct_values"), 0u);
   EXPECT_GE(r.counters.at("simjoin.candidates"),
-            r.counters.at("simjoin.emitted"));
+            r.counters.at("simjoin.verified"));
+  EXPECT_GE(r.counters.at("simjoin.verified"),
+            r.counters.at("simjoin.distinct_emitted"));
+  EXPECT_GT(r.counters.at("simjoin.distinct_emitted"), 0u);
   EXPECT_DOUBLE_EQ(r.gauges.at("index.size"),
                    static_cast<double>(result->stats.index_size));
 

@@ -346,33 +346,30 @@ TEST(ParallelEngineTest, PublicationRunIsDeterministicAcrossThreadCounts) {
 }
 
 // Labels and the merge sequence at every thread count, with and
-// without the encoded kernels and the pair-sim cache. Threads 0 repeats
-// the serial run, so it checks that a run is repeatable at all.
+// without the encoded kernels. Threads 0 repeats the serial run, so it
+// checks that a run is repeatable at all. (The name's "Cache" axis, a
+// pair-similarity cache, was removed with the cache.)
 TEST(ParallelEngineTest, ResolutionIdenticalAcrossThreadsKernelsAndCache) {
   for (bool movies : {true, false}) {
     Dataset ds = movies ? MovieData(120, 21) : PublicationData(100, 9);
     for (bool kernels : {true, false}) {
-      for (bool pair_cache : {true, false}) {
-        HeraOptions base;
-        base.use_encoded_kernels = kernels;
-        base.enable_pair_sim_cache = pair_cache;
-        auto want = Hera(base).Run(ds);
-        ASSERT_TRUE(want.ok());
-        ASSERT_GT(want->stats.merges, 0u);
-        for (size_t threads : {0u, 4u, 8u}) {
-          HeraOptions opts = base;
-          opts.num_threads = threads;
-          auto got = Hera(opts).Run(ds);
-          ASSERT_TRUE(got.ok());
-          const std::string what =
-              std::string(movies ? "movies" : "publications") +
-              " kernels=" + std::to_string(kernels) +
-              " cache=" + std::to_string(pair_cache) +
-              " threads=" + std::to_string(threads);
-          EXPECT_EQ(want->entity_of, got->entity_of) << what;
-          EXPECT_EQ(want->stats.merge_sequence, got->stats.merge_sequence)
-              << what;
-        }
+      HeraOptions base;
+      base.use_encoded_kernels = kernels;
+      auto want = Hera(base).Run(ds);
+      ASSERT_TRUE(want.ok());
+      ASSERT_GT(want->stats.merges, 0u);
+      for (size_t threads : {0u, 4u, 8u}) {
+        HeraOptions opts = base;
+        opts.num_threads = threads;
+        auto got = Hera(opts).Run(ds);
+        ASSERT_TRUE(got.ok());
+        const std::string what =
+            std::string(movies ? "movies" : "publications") +
+            " kernels=" + std::to_string(kernels) +
+            " threads=" + std::to_string(threads);
+        EXPECT_EQ(want->entity_of, got->entity_of) << what;
+        EXPECT_EQ(want->stats.merge_sequence, got->stats.merge_sequence)
+            << what;
       }
     }
   }

@@ -187,13 +187,21 @@ INSTANTIATE_TEST_SUITE_P(
 // shed — candidates == verified + shed_candidates holds exactly at the
 // trip boundary, for both entry points.
 TEST(PrefixFilterJoinTest, ShedCandidatesExactAtGuardTrip) {
-  // Identical values across many records: candidate lists grow with
-  // the probe index, so the 1024-op ticker boundary is crossed inside a
-  // large Tick(candidates.size()) batch. JoinAB also ticks each probe's
-  // gathered postings (the whole base) before its candidate batch (the
-  // whole base again), so a base of 600 keeps the first probe's gather
-  // under the boundary and puts the crossing in its candidate batch.
-  std::vector<std::string> strings(700, "same value");
+  // Distinct short strings that all share the gram "qz": at xi = 0.1
+  // each is a candidate of every other, so the self-join's candidate
+  // batches grow with the probe index, and the 1024-op ticker boundary
+  // is crossed inside a large Tick(candidates.size()) batch. The texts
+  // must differ, since the join scores each distinct text once. JoinAB
+  // also ticks each probe's gathered postings (the base's "qz" list and
+  // a few short ones) before its candidate batch (the whole base), so a
+  // base of 600 keeps the first probe's gather under the boundary and
+  // puts the crossing in its candidate batch.
+  std::vector<std::string> strings;
+  for (int i = 0; i < 700; ++i) {
+    strings.push_back(std::string("qz") + static_cast<char>('a' + i % 26) +
+                      static_cast<char>('a' + i / 26 % 26) +
+                      static_cast<char>('a' + i / 676));
+  }
   auto all = MakeValues(strings);
   std::vector<LabeledValue> values(all.begin(), all.begin() + 200);
   std::vector<LabeledValue> probe(all.begin(), all.begin() + 100);
@@ -208,8 +216,8 @@ TEST(PrefixFilterJoinTest, ShedCandidatesExactAtGuardTrip) {
     auto run = [&](const RunGuard& g, JoinReport* report) {
       std::vector<ValuePair> out;
       PrefixFilterJoin join;
-      return self ? join.Join(values, *metric, 1.0, g, &out, report)
-                  : join.JoinAB(probe, base, *metric, 1.0, g, &out, report);
+      return self ? join.Join(values, *metric, 0.1, g, &out, report)
+                  : join.JoinAB(probe, base, *metric, 0.1, g, &out, report);
     };
     JoinReport report;
     ASSERT_TRUE(run(guard, &report).ok());
@@ -228,6 +236,48 @@ TEST(PrefixFilterJoinTest, ShedCandidatesExactAtGuardTrip) {
   }
 }
 
+// The expansion of distinct pairs into occurrence pairs does work in
+// proportion to its output: 200 records of one string are one distinct
+// pair but 19,900 occurrence pairs. It ticks the guard by the pairs it
+// expands, and a trip keeps a prefix of the emission order.
+TEST(PrefixFilterJoinTest, ExpansionHonorsGuard) {
+  auto all = MakeValues(std::vector<std::string>(300, "same value"));
+  std::vector<LabeledValue> values(all.begin(), all.begin() + 200);
+  std::vector<LabeledValue> probe(all.begin(), all.begin() + 100);
+  std::vector<LabeledValue> base(all.begin() + 100, all.end());
+  auto metric = MakeSimilarity("jaccard_q2");
+
+  CancellationToken token = CancellationToken::Make();
+  token.RequestCancel();
+  RunGuard guard;
+  guard.WithCancellation(token);
+  for (bool self : {true, false}) {
+    auto run = [&](const RunGuard& g, std::vector<ValuePair>* out,
+                   JoinReport* report) {
+      PrefixFilterJoin join;
+      return self ? join.Join(values, *metric, 1.0, g, out, report)
+                  : join.JoinAB(probe, base, *metric, 1.0, g, out, report);
+    };
+    std::vector<ValuePair> full, out;
+    JoinReport full_report, report;
+    ASSERT_TRUE(run(RunGuard(), &full, &full_report).ok());
+    ASSERT_EQ(full.size(), self ? 19900u : 20000u);
+    ASSERT_TRUE(run(guard, &out, &report).ok());
+    EXPECT_TRUE(report.truncated) << "self=" << self;
+    // The distinct join finished; only the expansion stopped.
+    EXPECT_EQ(report.candidates, report.verified) << "self=" << self;
+    EXPECT_EQ(report.distinct_emitted, full_report.distinct_emitted)
+        << "self=" << self;
+    EXPECT_GT(out.size(), 0u) << "self=" << self;
+    ASSERT_LT(out.size(), full.size()) << "self=" << self;
+    EXPECT_EQ(report.emitted, out.size()) << "self=" << self;
+    for (size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(KeyOf(out[i]), KeyOf(full[i])) << "self=" << self << " i=" << i;
+      ASSERT_EQ(out[i].sim, full[i].sim) << "self=" << self << " i=" << i;
+    }
+  }
+}
+
 // JoinAB probes full base lists, which can be long while few entries
 // survive the filters. The guard must still be consulted during that
 // scan: here one probe gathers thousands of length-pruned postings and
@@ -236,7 +286,8 @@ TEST(PrefixFilterJoinTest, ShedCandidatesExactAtGuardTrip) {
 TEST(PrefixFilterJoinTest, JoinABChecksGuardOnLongFilteredLists) {
   std::vector<std::string> strings = {"xyz", "xyz"};
   for (int i = 0; i < 2000; ++i) {
-    std::string s = "xyz ";
+    // Distinct texts: the join indexes each distinct text once.
+    std::string s = "xyz " + std::to_string(i) + " ";
     for (int j = 0; j < 60; ++j) s.push_back('a' + (i * 7 + j) % 26);
     strings.push_back(s);
   }
@@ -417,7 +468,6 @@ struct PinCase {
   const char* metric;
   double xi;
   int q;
-  bool pair_cache;
   bool token_cache;
   size_t max_posting;
   uint64_t join_pairs_fp;
@@ -431,45 +481,47 @@ struct PinCase {
 std::vector<PinCase> PinCases() {
   std::vector<PinCase> cases;
   cases.push_back({"movies jaccard_q2", Movies(240, 7), "jaccard_q2", 0.5, 2,
-                   false, true, 0,
+                   true, 0,
                    0x86d0d38c74b52444ull, 0xcaa3cd10c3675ca4ull,
-                   0xe18ab7087e428962ull, 0xedc763dc8f243f5dull});
-  cases.push_back({"movies edit + pair cache", Movies(120, 5), "edit", 0.6, 2,
-                   true, false, 0,
+                   0xb94eef9aadcd2e2dull, 0xad347a62ecc87e17ull});
+  cases.push_back({"movies edit", Movies(120, 5), "edit", 0.6, 2,
+                   false, 0,
                    0x9eebf56485608799ull, 0x9506ee3e1818a258ull,
-                   0x16cc95a62031332bull, 0x1d43f7b6099f94efull});
+                   0xf12853901e1d4ff3ull, 0x37c0101641602fa8ull});
   cases.push_back({"publications jaccard_q3", Publications(200, 11),
-                   "jaccard_q3", 0.5, 3, false, false, 0,
+                   "jaccard_q3", 0.5, 3, false, 0,
                    0x9002cd18c4146a3dull, 0xb9be53c657c147b6ull,
-                   0xd5a2002a12a3e98full, 0x2c78dd0ca2158c27ull});
+                   0x612920a629458901ull, 0x52dac50c255bb9eaull});
   cases.push_back({"hybrid relative window", HybridValues(23),
-                   "hybrid(jaccard_q2)", 0.8, 2, false, false, 0,
+                   "hybrid(jaccard_q2)", 0.8, 2, false, 0,
                    0xa78acf1818bf004dull, 0xd686ac80e39befe8ull,
-                   0x43a0acc2e2fa7530ull, 0x0c086e6e484b33b8ull});
+                   0x8b90d0404b96f2edull, 0x4d05ce48f089b558ull});
   cases.push_back({"hybrid numeric_tol window", HybridValues(29),
-                   "hybrid(jaccard_q2,numeric_tol30)", 0.6, 2, false, true, 0,
+                   "hybrid(jaccard_q2,numeric_tol30)", 0.6, 2, true, 0,
                    0x502f5c42224ac2a7ull, 0xc41a75dc0c437f31ull,
-                   0xfee8acb758b8c7adull, 0x687f91fa55746505ull});
+                   0x78f7c2b8641331bcull, 0x3f347f489638299full});
+  // The ceiling caps distinct-text entries per posting list, so this
+  // case sheds different entries than a per-occurrence ceiling would.
   cases.push_back({"movies posting ceiling", Movies(240, 13), "jaccard_q2",
-                   0.4, 2, false, false, 6,
-                   0x2b2b62c2a63de176ull, 0x944c814e9b8f6f1cull,
-                   0xc588c46c34a96d8eull, 0xd1b1da02df556809ull});
+                   0.4, 2, false, 6,
+                   0x9d5a65f537340dc4ull, 0x87dbca4a304dd42bull,
+                   0x2440f6e3b50d9691ull, 0x2908e881da32d305ull});
   cases.push_back({"movies monge_elkan", Movies(120, 3), "monge_elkan", 0.7, 2,
-                   false, false, 0,
+                   false, 0,
                    0xeae9eb7c0e105ffeull, 0xe233f9d065acaf48ull,
-                   0x00e5e07a472c4b30ull, 0x0a1ea78218248c3full});
+                   0x52b08575d4bac7b0ull, 0x3e233dae98da4f99ull});
   cases.push_back({"duplicates jaccard_q2", DuplicateValues(31), "jaccard_q2",
-                   0.5, 2, false, true, 0,
+                   0.5, 2, true, 0,
                    0x3bda150d5cc22814ull, 0xaa4f98815e6417faull,
-                   0xfc2213c0c29f62fbull, 0xe1bceb3b183c21fcull});
+                   0xcf17f3abc4cf576eull, 0xd523b6481839fb64ull});
   cases.push_back({"duplicates edit", DuplicateValues(37), "edit", 0.5, 2,
-                   false, false, 0,
+                   false, 0,
                    0x66f0835bc5d2c5c3ull, 0x0d4d8336eb1b8a56ull,
-                   0x167f95ee8c6cf8f8ull, 0x35daab95ddb225a7ull});
+                   0xb9985295ff5a5388ull, 0xb1558ed6d15ea72eull});
   cases.push_back({"duplicates monge_elkan", DuplicateValues(41),
-                   "monge_elkan", 0.6, 2, false, false, 0,
+                   "monge_elkan", 0.6, 2, false, 0,
                    0x602a8bbfe4aa1d24ull, 0x34e5630ae83374faull,
-                   0x21dc31f87a4558e2ull, 0xafcf408b375a012bull});
+                   0x584224ac53eed5b6ull, 0x680082bb5cf52f84ull});
   return cases;
 }
 
@@ -490,9 +542,6 @@ TEST(JoinOrderPinTest, EmissionOrderAndCountersArePinned) {
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
       PrefixFilterJoin join(c.q);
       join.SetExecutor(pool.get());
-      if (c.pair_cache) {
-        join.SetPairSimCache(std::make_shared<PairSimCache>(metric->Name()));
-      }
       if (c.token_cache) {
         join.SetTokenCache(std::make_shared<TokenCache>(c.q));
       }
