@@ -79,7 +79,7 @@ struct JoinReport {
   size_t pruned_positional = 0;
   size_t pruned_suffix = 0;
   /// Distinct token-path values (the prefix-filter join interns its
-  /// string-path values by exact payload and joins each once; 0 for the
+  /// token-path values by exact payload and joins each once; 0 for the
   /// nested-loop join). On that path `candidates`, `verified` and the
   /// pruned counters count pairs of distinct values, not occurrences.
   size_t distinct_values = 0;
