@@ -1,9 +1,8 @@
 // Micro-benchmark for the integer-encoded similarity kernels
 // (sim/kernel.h): intersection strategies across set sizes, skew, and
 // id density, an end-to-end verification-phase comparison against the
-// string metric path on generated movie data (scalar and SIMD tiers
-// measured separately), and the Myers bit-parallel edit distance
-// against the row DP across string lengths.
+// string metric path on generated movie data, and the Myers
+// bit-parallel edit distance against the row DP across string lengths.
 //
 // Plain executable (no google-benchmark dependency) so it can run in
 // the CI bench-smoke job. With HERA_BENCH_JSON_DIR set it writes
@@ -24,7 +23,6 @@
 #include "obs/json.h"
 #include "record/super_record.h"
 #include "sim/kernel.h"
-#include "sim/kernel_dispatch.h"
 #include "sim/metrics.h"
 #include "sim/string_metrics.h"
 #include "text/normalize.h"
@@ -140,18 +138,7 @@ void RunSynthetic(std::vector<SyntheticRow>* rows) {
             return IntersectSizeBitmap(as[p], bs[p]);
           }));
     }
-    // The SIMD tiers on the same shapes; on a CPU without the tier the
-    // row aliases a lower one (resolution clamps down).
-    add("sse4", NsPerOp(iters, [&](size_t i) {
-          size_t p = i % kPool;
-          return IntersectSizeSimd(as[p].data(), as[p].size(), bs[p].data(),
-                                   bs[p].size(), KernelDispatch::kSse4);
-        }));
-    add("avx2", NsPerOp(iters, [&](size_t i) {
-          size_t p = i % kPool;
-          return IntersectSizeSimd(as[p].data(), as[p].size(), bs[p].data(),
-                                   bs[p].size(), KernelDispatch::kAvx2);
-        }));
+    // IntersectSize: the strategy its shape test picks.
     add("auto", NsPerOp(iters, [&](size_t i) {
           size_t p = i % kPool;
           return IntersectSize(as[p], bs[p]);
@@ -164,11 +151,8 @@ struct VerifyResultRow {
   double string_ns = 0;        // Cached string metric (TokenCache-backed).
   double string_cold_ns = 0;   // Re-normalize + re-tokenize every call.
   double kernel_ns = 0;        // SetSimilarityBounded on encoded sets.
-  double kernel_scalar_ns = 0; // Intersection comparison, scalar tier.
-  double kernel_simd_ns = 0;   // Intersection comparison, best SIMD tier.
   double speedup = 0;          // string_ns / kernel_ns.
   double speedup_cold = 0;     // string_cold_ns / kernel_ns.
-  double simd_speedup = 0;     // kernel_scalar_ns / kernel_simd_ns.
 };
 
 /// The verification workload: candidate value pairs from generated
@@ -229,55 +213,8 @@ VerifyResultRow RunVerifyPhase() {
         SetSimilarityBounded(SetSimKind::kJaccard, ids[a], ids[b], xi) !=
         kBelowThreshold);
   });
-  // Tier comparison on the pairs that reach a real SIMD merge. Two
-  // screens: (a) q = 2's ~1.3k-gram universe keeps every id window
-  // inside the bitmap kernel, which no tier changes, so the tier rows
-  // use q = 3 encodings (50k-gram universe -> wide windows -> the
-  // merge shape the SIMD kernels own); (b) merge cost concentrates in
-  // the long values (titles, name lists — years and genres take the
-  // scalar path on every tier), so pairs draw from values with >= 16
-  // grams, each scored against itself and its nearest pool neighbor
-  // (high overlap, full-length intersections) rather than random pairs
-  // that abandon after a few elements. The cutoff keeps three-plus
-  // AVX2 blocks in flight per side.
-  QgramDictionary dict3(3);
-  for (const Value& v : values) dict3.Add(Normalize(v.AsString()));
-  dict3.Freeze();
-  std::vector<std::vector<uint32_t>> ids3;
-  ids3.reserve(values.size());
-  for (const Value& v : values) {
-    ids3.push_back(dict3.Encode(Normalize(v.AsString())));
-  }
-  std::vector<size_t> longs;
-  for (size_t i = 0; i < ids3.size(); ++i) {
-    if (ids3[i].size() >= 24) longs.push_back(i);
-  }
-  std::uniform_int_distribution<size_t> pick_long(0, longs.size() - 1);
-  std::vector<std::pair<size_t, size_t>> cands;
-  cands.reserve(kPairs);
-  for (size_t i = 0; i < kPairs; ++i) {
-    size_t a = pick_long(rng);
-    cands.push_back(
-        {longs[a], i % 2 == 0 ? longs[a] : longs[(a + 1) % longs.size()]});
-  }
-  // The rows measure the intersection comparison itself (the work the
-  // tier actually changes); the threshold conversion and shape
-  // dispatch around it are tier-independent and already counted in
-  // kernel_ns above.
-  const KernelDispatch simd_tier = ResolveKernelDispatch(KernelDispatch::kAuto);
-  row.kernel_scalar_ns = NsPerOp(kPairs, [&](size_t i) {
-    const auto& [a, b] = cands[i % kPairs];
-    return IntersectSizeSimd(ids3[a].data(), ids3[a].size(), ids3[b].data(),
-                             ids3[b].size(), KernelDispatch::kScalar);
-  });
-  row.kernel_simd_ns = NsPerOp(kPairs, [&](size_t i) {
-    const auto& [a, b] = cands[i % kPairs];
-    return IntersectSizeSimd(ids3[a].data(), ids3[a].size(), ids3[b].data(),
-                             ids3[b].size(), simd_tier);
-  });
   row.speedup = row.string_ns / row.kernel_ns;
   row.speedup_cold = row.string_cold_ns / row.kernel_ns;
-  row.simd_speedup = row.kernel_scalar_ns / row.kernel_simd_ns;
   std::printf("\nverification phase (%zu candidate pairs, xi=%.2f)\n",
               row.pairs, xi);
   PrintRule(48);
@@ -289,11 +226,6 @@ VerifyResultRow RunVerifyPhase() {
               row.kernel_ns);
   std::printf("%-28s %11.2fx (%.2fx vs re-tokenize)\n", "kernel speedup",
               row.speedup, row.speedup_cold);
-  std::printf("%-28s %12.1f ns/pair\n", "intersection, scalar tier",
-              row.kernel_scalar_ns);
-  std::printf("%-28s %12.1f ns/pair (%s)\n", "intersection, simd tier",
-              row.kernel_simd_ns, KernelDispatchToString(simd_tier));
-  std::printf("%-28s %11.2fx\n", "simd speedup", row.simd_speedup);
   return row;
 }
 
@@ -368,15 +300,10 @@ void WriteJson(const std::vector<SyntheticRow>& rows,
   w.Key("string_ns_per_pair").Number(verify.string_ns);
   w.Key("string_cold_ns_per_pair").Number(verify.string_cold_ns);
   w.Key("kernel_ns_per_pair").Number(verify.kernel_ns);
-  w.Key("kernel_scalar_ns_per_pair").Number(verify.kernel_scalar_ns);
-  w.Key("kernel_simd_ns_per_pair").Number(verify.kernel_simd_ns);
   w.Key("speedup").Number(verify.speedup);
   w.Key("speedup_cold").Number(verify.speedup_cold);
-  w.Key("simd_speedup").Number(verify.simd_speedup);
   w.EndObject();
   w.Key("myers").BeginObject();
-  w.Key("dispatch_tier").String(
-      KernelDispatchToString(ResolveKernelDispatch(KernelDispatch::kAuto)));
   w.Key("rows").BeginArray();
   for (const MyersRow& r : myers) {
     w.BeginObject();
@@ -408,9 +335,6 @@ void WriteJson(const std::vector<SyntheticRow>& rows,
 }  // namespace hera
 
 int main() {
-  std::printf("kernel dispatch tier: %s\n",
-              hera::KernelDispatchToString(
-                  hera::ActiveKernelDispatch()));
   std::vector<hera::bench::SyntheticRow> rows;
   hera::bench::RunSynthetic(&rows);
   hera::bench::VerifyResultRow verify = hera::bench::RunVerifyPhase();

@@ -2,19 +2,22 @@
 //
 //   hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]
 //                    [--threads N]
-//                    [--kernel-dispatch auto|avx2|sse4|scalar]
 //                    [--out labels.csv] [--quiet]
 //                    [--emit-report report.json] [--log-level LEVEL]
 //                    [--trace-out trace.json] [--timeline-csv FILE]
 //                    [--timeline-interval-ms MS]
 //                    [--checkpoint-dir DIR] [--checkpoint-every K]
 //                    [--resume] [--deadline-ms MS]
-//   hera_cli generate <movies|publications> <output.hera>
-//                    [--records N] [--entities E] [--seed S]
+//                    [--progressive] [--max-verifications N]
+//                    [--frontier-capacity C]
+//   hera_cli generate <movies|publications|ambiguous> <output.hera>
+//                    [--records N] [--entities E] [--seed S] [--decoys D]
 //   hera_cli stats <input.hera>
 //
 // `resolve` prints (or writes) one "record_id,entity_label" line per
-// record plus run statistics; when the input carries ground truth it
+// record plus a summary line on stderr: the index build (similarity
+// join plus index insert), the compare-and-merge loop, and the wall
+// time of the whole resolve. When the input carries ground truth it
 // also reports precision/recall/F1. --emit-report turns on metric
 // collection and writes the machine-readable run report (JSON; see
 // docs/observability.md). --trace-out writes the run as a Chrome-trace
@@ -27,11 +30,6 @@
 // HERA_THREADS environment variable; the flag wins) sets
 // HeraOptions::num_threads — results are identical at any setting (see
 // docs/performance.md); the run report records the value used.
-// --kernel-dispatch (or HERA_KERNEL_DISPATCH; the flag wins) picks the
-// SIMD tier for the similarity kernels: "auto" (default: best
-// supported), "avx2", "sse4", or "scalar". Tiers unsupported by the
-// CPU clamp down; labels and merge order are byte-identical at every
-// tier (see docs/performance.md, "SIMD kernel tier").
 //
 // Durability: --checkpoint-dir makes the run resumable after a kill or
 // a --deadline-ms truncation (snapshots + WAL, docs/file_format.md);
@@ -49,7 +47,9 @@
 //
 // Numeric flags (and HERA_THREADS) must parse whole: counts are
 // unsigned decimal integers, reals are finite decimals. A malformed
-// value is a usage error that names the flag.
+// value is a usage error that names the flag, and so is a `--` token
+// the subcommand does not know (a typo is never silently ignored).
+// --log-level is accepted by every subcommand.
 //
 // Exit codes: 0 the run completed; 2 the run ended governed (degraded,
 // iteration cap, budget spent, or truncated — the labeling is valid
@@ -57,11 +57,13 @@
 // input, corrupt checkpoint, write failure); 64 usage error.
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 
@@ -87,7 +89,6 @@ int Usage() {
       "usage:\n"
       "  hera_cli resolve <input.hera> [--xi X] [--delta D] [--metric NAME]\n"
       "                   [--threads N]\n"
-      "                   [--kernel-dispatch auto|avx2|sse4|scalar]\n"
       "                   [--out labels.csv] [--quiet]\n"
       "                   [--emit-report report.json] [--log-level LEVEL]\n"
       "                   [--trace-out trace.json] [--timeline-csv FILE]\n"
@@ -129,6 +130,59 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// A flag a subcommand accepts; `takes_value` flags consume the next
+/// token.
+struct FlagSpec {
+  const char* name;
+  bool takes_value;
+};
+
+constexpr FlagSpec kResolveFlags[] = {
+    {"--xi", true},
+    {"--delta", true},
+    {"--metric", true},
+    {"--threads", true},
+    {"--out", true},
+    {"--quiet", false},
+    {"--emit-report", true},
+    {"--log-level", true},
+    {"--trace-out", true},
+    {"--timeline-csv", true},
+    {"--timeline-interval-ms", true},
+    {"--checkpoint-dir", true},
+    {"--checkpoint-every", true},
+    {"--resume", false},
+    {"--deadline-ms", true},
+    {"--progressive", false},
+    {"--max-verifications", true},
+    {"--frontier-capacity", true},
+};
+
+constexpr FlagSpec kGenerateFlags[] = {
+    {"--records", true}, {"--entities", true}, {"--seed", true},
+    {"--decoys", true},  {"--log-level", true},
+};
+
+constexpr FlagSpec kStatsFlags[] = {{"--log-level", true}};
+
+/// True when every `--` token in argv is one of `flags`. Otherwise
+/// prints the first unknown one and returns false.
+bool OnlyKnownFlags(int argc, char** argv, std::span<const FlagSpec> flags) {
+  for (int i = 0; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& f : flags) {
+      if (std::strcmp(argv[i], f.name) == 0) spec = &f;
+    }
+    if (spec == nullptr) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return false;
+    }
+    if (spec->takes_value) ++i;
+  }
+  return true;
+}
+
 /// Parses `text`, the value of flag or variable `name`, into `*out`
 /// when `text` is non-null. The whole string must parse; an unsigned
 /// `T` takes no sign and a floating `T` must be finite. On a malformed
@@ -159,7 +213,7 @@ bool NumericFlag(int argc, char** argv, const char* flag, T* out) {
 }
 
 int CmdResolve(int argc, char** argv) {
-  if (argc < 1) return Usage();
+  if (argc < 1 || !OnlyKnownFlags(argc, argv, kResolveFlags)) return Usage();
   HeraOptions opts;
   double deadline_ms = 0.0;
   size_t max_verifications = 0;
@@ -179,17 +233,6 @@ int CmdResolve(int argc, char** argv) {
     return Usage();
   }
   if (const char* v = FlagValue(argc, argv, "--metric")) opts.metric = v;
-  const char* dispatch_name = std::getenv("HERA_KERNEL_DISPATCH");
-  if (const char* v = FlagValue(argc, argv, "--kernel-dispatch")) {
-    dispatch_name = v;
-  }
-  if (dispatch_name != nullptr &&
-      !KernelDispatchFromString(dispatch_name, &opts.kernel_dispatch)) {
-    std::fprintf(stderr,
-                 "unknown kernel dispatch %s (want auto|avx2|sse4|scalar)\n",
-                 dispatch_name);
-    return Usage();
-  }
   if (const char* v = FlagValue(argc, argv, "--checkpoint-dir")) {
     opts.checkpoint_dir = v;
   }
@@ -241,6 +284,7 @@ int CmdResolve(int argc, char** argv) {
     return 3;
   }
 
+  const auto wall_start = std::chrono::steady_clock::now();
   StatusOr<HeraResult> result =
       resume ? Hera(opts).Resume(*ds) : Hera(opts).Run(*ds);
   if (resume && !result.ok() &&
@@ -249,6 +293,9 @@ int CmdResolve(int argc, char** argv) {
                  opts.checkpoint_dir.c_str());
     result = Hera(opts).Run(*ds);
   }
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
   if (!result.ok()) {
     std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return 3;
@@ -277,10 +324,11 @@ int CmdResolve(int argc, char** argv) {
   const HeraStats& st = result->stats;
   std::fprintf(stderr,
                "records=%zu entities=%zu index=%zu iterations=%zu "
-               "comparisons=%zu direct=%zu merges=%zu time=%.1fms\n",
+               "comparisons=%zu direct=%zu merges=%zu index_build=%.1fms "
+               "loop=%.1fms wall=%.1fms\n",
                ds->size(), result->super_records.size(), st.index_size,
                st.iterations, st.comparisons, st.direct_merges, st.merges,
-               st.total_ms);
+               st.index_build_ms, st.total_ms, wall_ms);
   int exit_code = 0;
   if (st.outcome != RunOutcome::kCompleted) {
     std::fprintf(stderr, "outcome=%s (run was governed; labeling is valid)\n",
@@ -347,7 +395,7 @@ int CmdResolve(int argc, char** argv) {
 }
 
 int CmdGenerate(int argc, char** argv) {
-  if (argc < 2) return Usage();
+  if (argc < 2 || !OnlyKnownFlags(argc, argv, kGenerateFlags)) return Usage();
   std::string domain = argv[0];
   std::string out_path = argv[1];
   size_t records = 1000, entities = 150;
@@ -414,7 +462,7 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdStats(int argc, char** argv) {
-  if (argc < 1) return Usage();
+  if (argc < 1 || !OnlyKnownFlags(argc, argv, kStatsFlags)) return Usage();
   auto ds = ReadDataset(argv[0]);
   if (!ds.ok()) {
     std::fprintf(stderr, "error reading %s: %s\n", argv[0],

@@ -45,10 +45,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       guard_(options.guard),
       predictor_(options.vote_prior_p, options.vote_rho) {
   assert(simv_ != nullptr);
-  // Apply the SIMD tier before any kernel can run. Process-global by
-  // design (see sim/kernel_dispatch.h); purely a speed knob, so one
-  // engine re-applying it under another is harmless.
-  SetActiveKernelDispatch(options_.kernel_dispatch);
   JoinSetup join = MakeJoinSetup(options_, *simv_, /*cache_tokens=*/true);
   joiner_ = std::move(join.joiner);
   pool_ = std::move(join.pool);
@@ -90,13 +86,8 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
     c_frontier_groups_ = m.GetCounter("quality.frontier_groups");
     c_frontier_verified_ = m.GetCounter("quality.frontier_verified");
     c_frontier_deferred_ = m.GetCounter("quality.frontier_deferred");
-    // Which kernel tier actually ran (0 = scalar, 1 = sse4, 2 = avx2)
-    // — the resolved tier, not the requested one, so a clamped-down
-    // run is visible in its report. The kernel.* counters carry this
-    // run's deltas of the process-global totals.
-    m.GetGauge("kernel.dispatch_tier")
-        ->Set(static_cast<double>(
-            KernelDispatchGaugeValue(ActiveKernelDispatch())));
+    // kernel.myers_calls carries this run's delta of the process-global
+    // total.
     kernel_counters_base_ = KernelCountersNow();
     joiner_->SetCollectWorkerSpans(true);
     trace_->SetTimelineIntervalMs(
@@ -294,9 +285,6 @@ void ResolutionEngine::SyncKernelMetrics() {
   // construction-time baseline, catching the counters up rather than
   // double counting across rounds.
   KernelCounterSnapshot now = KernelCountersNow();
-  obs::Counter* simd = trace_->metrics().GetCounter("kernel.simd_intersections");
-  uint64_t simd_delta = now.simd_intersections - kernel_counters_base_.simd_intersections;
-  if (simd_delta > simd->value()) simd->Inc(simd_delta - simd->value());
   obs::Counter* myers = trace_->metrics().GetCounter("kernel.myers_calls");
   uint64_t myers_delta = now.myers_calls - kernel_counters_base_.myers_calls;
   if (myers_delta > myers->value()) myers->Inc(myers_delta - myers->value());

@@ -183,10 +183,9 @@ class ResolutionEngine {
   /// token cache's cumulative totals (no-op without trace or cache).
   void SyncTokenCacheMetrics();
 
-  /// Publishes this run's kernel.simd_intersections / kernel.myers_calls
-  /// deltas from the process-global kernel counters
-  /// (sim/kernel_dispatch.h), against the baseline captured at engine
-  /// construction.
+  /// Publishes this run's kernel.myers_calls delta from the
+  /// process-global kernel counter (sim/kernel_dispatch.h), against the
+  /// baseline captured at engine construction.
   void SyncKernelMetrics();
 
   HeraOptions options_;
@@ -269,7 +268,7 @@ class ResolutionEngine {
   obs::Counter* c_frontier_verified_ = nullptr;
   obs::Counter* c_frontier_deferred_ = nullptr;
   /// Process-global kernel counter values at engine construction; the
-  /// kernel.* report counters carry this engine's deltas only.
+  /// kernel.myers_calls report counter carries this engine's delta only.
   KernelCounterSnapshot kernel_counters_base_;
 
   /// Background timeline sampler (null unless timeline_interval_ms is

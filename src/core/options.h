@@ -46,17 +46,11 @@ struct HeraOptions {
   /// (A/B comparisons). See docs/performance.md.
   bool use_encoded_kernels = true;
 
-  /// SIMD tier for the similarity kernels (sim/kernel_dispatch.h):
-  /// kAuto picks the best tier the CPU supports (AVX2 > SSE4 >
-  /// scalar), honoring the HERA_KERNEL_DISPATCH environment override;
-  /// a named tier clamps down to what the CPU can run. Applied
-  /// process-globally at engine construction. Purely a speed knob:
-  /// every tier computes bit-identical scores, so labels and
-  /// merge_sequence never change with it (and it is deliberately
-  /// excluded from checkpoint fingerprints — a snapshot written on an
-  /// AVX2 box resumes identically on a scalar one). See
-  /// docs/performance.md ("SIMD kernel tier").
-  KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
+  /// Ignored: the similarity kernels have one scalar path (see
+  /// sim/kernel_dispatch.h). Remains only for perfbench's traced run,
+  /// which still reads it, until a benchmark change drops it. Not part
+  /// of checkpoint fingerprints.
+  KernelDispatch kernel_dispatch = KernelDispatch::kScalar;
 
   /// Ignored, as is pair_sim_cache_capacity: the join verifies each
   /// pair of distinct value texts once, so there is no pair cache (see

@@ -74,8 +74,7 @@ double BestPairScorer::KernelRow(const Value& va, const std::vector<Value>& b,
   if (va.is_null()) return 0.0;
   if (hybrid_ && va.is_number()) {
     // Mixed row: number/number cells belong to the numeric metric,
-    // everything else to the kernel. Rare enough that per-cell tier
-    // resolution is fine.
+    // everything else to the kernel, one cell at a time.
     double best = 0.0;
     for (size_t j = 0; j < b.size(); ++j) {
       const Value& vb = b[j];

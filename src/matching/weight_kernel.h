@@ -14,8 +14,8 @@
 //
 // Matrix calls are batched: the b side is encoded once per call (one
 // memo lookup per value instead of one per cell) and every row runs
-// through BestSetSimilarityBounded, which resolves the SIMD dispatch
-// tier once and scores the whole row against it. Edit-family metrics
+// through BestSetSimilarityBounded, which ratchets the floor up to the
+// row's running best as cells land. Edit-family metrics
 // ("edit", "hybrid(edit)") get the analogous treatment: the b side is
 // normalized once, then each cell runs the banded Myers kernel through
 // NormalizedLevenshteinAtLeastNormalized with the running best as the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/kernel_simd.h"
-
 namespace hera {
 
 namespace {
@@ -31,58 +29,29 @@ double FormulaOf(SetSimKind kind, size_t inter, size_t na, size_t nb) {
   return 0.0;  // Unreachable.
 }
 
-/// Merge-shaped intersection on an explicit (already-resolved) tier:
-/// the vector kernel when the tier has one and both inputs fill at
-/// least one window, the scalar merge otherwise. Exact on every path.
-inline size_t IntersectMergeShaped(const uint32_t* a, size_t na,
-                                   const uint32_t* b, size_t nb,
-                                   KernelDispatch tier) {
-#ifdef HERA_X86_SIMD
-  if (tier == KernelDispatch::kAvx2 && std::min(na, nb) >= 8) {
-    CountSimdIntersection();
-    return simd::IntersectAvx2(a, na, b, nb);
-  }
-  if (tier == KernelDispatch::kSse4 && std::min(na, nb) >= 4) {
-    CountSimdIntersection();
-    return simd::IntersectSse4(a, na, b, nb);
-  }
-#else
-  (void)tier;
-#endif
-  return IntersectSizeMerge(a, na, b, nb);
-}
+/// Sentinel for IntersectBoundedMerge: the intersection provably
+/// cannot reach min_req. Distinct from any real count (counts are <=
+/// set sizes, far below SIZE_MAX).
+constexpr size_t kAbandonedIntersect = ~size_t{0};
 
-/// Bounded merge-shaped intersection: exact count when >= min_req,
-/// else simd::kAbandonedIntersect. The scalar branch applies the same
-/// integer abandon test per step that the vector kernels apply per
-/// block — abandon timing differs, the returned value never does.
-inline size_t IntersectBoundedMergeShaped(const uint32_t* a, size_t na,
-                                          const uint32_t* b, size_t nb,
-                                          size_t min_req,
-                                          KernelDispatch tier) {
-#ifdef HERA_X86_SIMD
-  if (tier == KernelDispatch::kAvx2 && std::min(na, nb) >= 8) {
-    CountSimdIntersection();
-    return simd::IntersectBoundedAvx2(a, na, b, nb, min_req);
-  }
-  if (tier == KernelDispatch::kSse4 && std::min(na, nb) >= 4) {
-    CountSimdIntersection();
-    return simd::IntersectBoundedSse4(a, na, b, nb, min_req);
-  }
-#else
-  (void)tier;
-#endif
+/// Bounded two-pointer merge: the exact count when it is >= min_req,
+/// else kAbandonedIntersect. The abandon test is integer — even if
+/// every remaining element matched, min_req is out of reach — so it
+/// decides exactly what the full count would, only sooner.
+inline size_t IntersectBoundedMerge(const uint32_t* a, size_t na,
+                                    const uint32_t* b, size_t nb,
+                                    size_t min_req) {
   size_t i = 0, j = 0, inter = 0;
   while (i < na && j < nb) {
     if (inter + std::min(na - i, nb - j) < min_req) {
-      return simd::kAbandonedIntersect;
+      return kAbandonedIntersect;
     }
     uint32_t x = a[i], y = b[j];
     inter += (x == y);
     i += (x <= y);
     j += (y <= x);
   }
-  return inter < min_req ? simd::kAbandonedIntersect : inter;
+  return inter < min_req ? kAbandonedIntersect : inter;
 }
 
 }  // namespace
@@ -159,13 +128,7 @@ size_t IntersectSize(const std::vector<uint32_t>& a,
   if (s.size() * kGallopSkew < l.size()) {
     return IntersectSizeGallop(s.data(), s.size(), l.data(), l.size());
   }
-  return IntersectMergeShaped(s.data(), s.size(), l.data(), l.size(),
-                              ActiveKernelDispatch());
-}
-
-size_t IntersectSizeSimd(const uint32_t* a, size_t na, const uint32_t* b,
-                         size_t nb, KernelDispatch tier) {
-  return IntersectMergeShaped(a, na, b, nb, ResolveKernelDispatch(tier));
+  return IntersectSizeMerge(s.data(), s.size(), l.data(), l.size());
 }
 
 double SetSimilarity(SetSimKind kind, const std::vector<uint32_t>& a,
@@ -197,12 +160,6 @@ size_t MinOverlapForThreshold(SetSimKind kind, size_t na, size_t nb,
 
 double SetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
                             const std::vector<uint32_t>& b, double xi) {
-  return SetSimilarityBounded(kind, a, b, xi, ActiveKernelDispatch());
-}
-
-double SetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
-                            const std::vector<uint32_t>& b, double xi,
-                            KernelDispatch tier) {
   if (a.empty() || b.empty()) return 0.0 >= xi ? 0.0 : kBelowThreshold;
   const size_t na = a.size(), nb = b.size();
   const size_t min_req = MinOverlapForThreshold(kind, na, nb, xi);
@@ -239,9 +196,8 @@ double SetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
       }
     }
   } else {
-    inter = IntersectBoundedMergeShaped(a.data(), na, b.data(), nb, min_req,
-                                        tier);
-    if (inter == simd::kAbandonedIntersect) return kBelowThreshold;
+    inter = IntersectBoundedMerge(a.data(), na, b.data(), nb, min_req);
+    if (inter == kAbandonedIntersect) return kBelowThreshold;
   }
   if (inter < min_req) return kBelowThreshold;
   // Monotonicity: formula(inter) >= formula(min_req) >= xi.
@@ -251,13 +207,10 @@ double SetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
 double BestSetSimilarityBounded(
     SetSimKind kind, const std::vector<uint32_t>& a,
     const std::vector<const std::vector<uint32_t>*>& bs, double floor) {
-  // One tier resolution for the whole row; the per-cell overload would
-  // reload the dispatch atomic on every cell of a dense weight matrix.
-  const KernelDispatch tier = ActiveKernelDispatch();
   double best = 0.0;
   for (const std::vector<uint32_t>* b : bs) {
     if (b == nullptr) continue;
-    double s = SetSimilarityBounded(kind, a, *b, std::max(floor, best), tier);
+    double s = SetSimilarityBounded(kind, a, *b, std::max(floor, best));
     if (s != kBelowThreshold && s > best) best = s;
   }
   return best;

@@ -21,18 +21,10 @@
 //     bit tests — no branches on the comparison ladder.
 //   - gallop: when one set is much smaller, walk the small set and
 //     binary-expand into the large one (O(ns log nl)).
-//   - simd:   merge-shaped inputs on an AVX2/SSE4 dispatch tier run
-//     the block all-pairs vector kernel (sim/kernel_simd.h) — same
-//     exact count, one vector-width window per step.
-//   - merge:  the classic two-pointer merge, otherwise (and always on
-//     the scalar tier).
+//   - merge:  the classic two-pointer merge, otherwise.
 //
-// Which vector tier runs is the process-global dispatch knob
-// (sim/kernel_dispatch.h): HeraOptions::kernel_dispatch /
-// HERA_KERNEL_DISPATCH, resolved against CPUID with scalar as the
-// universal fallback. Tiers are a speed knob only — every tier
-// computes the same integer counts, hence bit-identical similarity
-// scores.
+// The choice depends only on the inputs' shape, and every strategy
+// computes the same exact count, so it never changes a score.
 //
 // Thresholded verification (SetSimilarityBounded) converts the
 // threshold into the minimum intersection size that can reach it
@@ -49,8 +41,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "sim/kernel_dispatch.h"
 
 namespace hera {
 
@@ -88,18 +78,9 @@ bool BitmapEligible(const std::vector<uint32_t>& a,
 size_t IntersectSizeBitmap(const std::vector<uint32_t>& a,
                            const std::vector<uint32_t>& b);
 
-/// Exact |a ∩ b|, dispatching bitmap / gallop / simd / merge on shape
-/// and the active dispatch tier.
+/// Exact |a ∩ b|, choosing bitmap / gallop / merge on shape.
 size_t IntersectSize(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b);
-
-/// Exact |a ∩ b| on an explicit dispatch tier: the block all-pairs
-/// vector kernel on kAvx2/kSse4, the scalar merge on kScalar (kAuto
-/// resolves first). Same count on every tier; exposed for the fuzz
-/// tests and bench_kernel, and the primitive IntersectSize slots into
-/// its shape dispatch.
-size_t IntersectSizeSimd(const uint32_t* a, size_t na, const uint32_t* b,
-                         size_t nb, KernelDispatch tier);
 
 /// Similarity of two encoded gram sets; bit-equal to the string-path
 /// metric of the same kind and q (empty either side -> 0.0, matching
@@ -125,19 +106,11 @@ size_t MinOverlapForThreshold(SetSimKind kind, size_t na, size_t nb, double xi);
 double SetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
                             const std::vector<uint32_t>& b, double xi);
 
-/// SetSimilarityBounded on an explicit dispatch tier. The overload
-/// above resolves ActiveKernelDispatch() per call; batch loops resolve
-/// the tier once and reuse it. Bit-identical results on every tier.
-double SetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
-                            const std::vector<uint32_t>& b, double xi,
-                            KernelDispatch tier);
-
 /// Batched weight-row entry point: the best bounded similarity of `a`
-/// against every non-null set in `bs`, resolving the dispatch tier
-/// once for the whole row and ratcheting the floor upward as cells
-/// land (each cell is bounded by max(floor, best so far)). Returns the
-/// exact maximum whenever it is >= floor; otherwise some value below
-/// floor (0.0 when nothing scored). Null entries are skipped — they
+/// against every non-null set in `bs`, ratcheting the floor upward as
+/// cells land (each cell is bounded by max(floor, best so far)).
+/// Returns the exact maximum whenever it is >= floor; otherwise some
+/// value below floor (0.0 when nothing scored). Null entries are skipped — they
 /// stand for cells the caller scores another way.
 double BestSetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
                                 const std::vector<const std::vector<uint32_t>*>& bs,

@@ -51,12 +51,49 @@ std::vector<uint32_t> RandomSet(std::mt19937* rng, size_t n, uint32_t lo,
   return SortedSet(std::move(v));
 }
 
+/// About n/2 fresh ids from [lo, hi] plus roughly half of `base`, so a
+/// wide universe still yields large intersections.
+std::vector<uint32_t> OverlappingSet(std::mt19937* rng,
+                                     const std::vector<uint32_t>& base,
+                                     size_t n, uint32_t lo, uint32_t hi) {
+  std::vector<uint32_t> v = RandomSet(rng, n / 2, lo, hi);
+  for (uint32_t id : base) {
+    if ((*rng)() % 2 == 0) v.push_back(id);
+  }
+  return SortedSet(std::move(v));
+}
+
 size_t ReferenceIntersect(const std::vector<uint32_t>& a,
                           const std::vector<uint32_t>& b) {
   std::vector<uint32_t> out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
   return out.size();
+}
+
+/// Set sizes that straddle small powers of two plus a longer tail: an
+/// off-by-one in a loop's first step or its end lands exactly there.
+constexpr size_t kLengthBuckets[] = {0,  1,  3,  4,  5,  7,  8,  9,  15,
+                                     16, 17, 31, 32, 33, 63, 64, 65, 100};
+
+/// The 50000-id universe keeps every pair of bucket-sized sets out of
+/// the bitmap window, so balanced sizes take the merge paths.
+constexpr uint32_t kWideUniverse = 50000;
+
+/// Every intersection strategy, and the shape-picked IntersectSize in
+/// both argument orders, counts the reference intersection.
+void ExpectStrategiesAgree(const std::vector<uint32_t>& a,
+                           const std::vector<uint32_t>& b) {
+  size_t want = ReferenceIntersect(a, b);
+  EXPECT_EQ(IntersectSizeMerge(a.data(), a.size(), b.data(), b.size()), want);
+  EXPECT_EQ(IntersectSizeGallop(a.data(), a.size(), b.data(), b.size()), want);
+  EXPECT_EQ(IntersectSizeGallop(b.data(), b.size(), a.data(), a.size()), want);
+  if (!a.empty() && !b.empty() && BitmapEligible(a, b)) {
+    EXPECT_EQ(IntersectSizeBitmap(a, b), want);
+  }
+  EXPECT_EQ(IntersectSize(a, b), want) << "na=" << a.size()
+                                       << " nb=" << b.size();
+  EXPECT_EQ(IntersectSize(b, a), want);
 }
 
 TEST(KernelIntersectTest, AllStrategiesAgreeWithReference) {
@@ -68,16 +105,26 @@ TEST(KernelIntersectTest, AllStrategiesAgreeWithReference) {
     size_t nb = trial % 11 == 0 ? 0 : rng() % 512;
     uint32_t hi = trial % 3 == 0 ? 900 : 100000;
     auto a = RandomSet(&rng, na, 0, hi);
-    auto b = RandomSet(&rng, nb, 0, hi);
-    size_t want = ReferenceIntersect(a, b);
-    EXPECT_EQ(IntersectSizeMerge(a.data(), a.size(), b.data(), b.size()), want);
-    EXPECT_EQ(IntersectSizeGallop(a.data(), a.size(), b.data(), b.size()), want);
-    EXPECT_EQ(IntersectSizeGallop(b.data(), b.size(), a.data(), a.size()), want);
-    if (!a.empty() && !b.empty() && BitmapEligible(a, b)) {
-      EXPECT_EQ(IntersectSizeBitmap(a, b), want);
+    ExpectStrategiesAgree(a, RandomSet(&rng, nb, 0, hi));
+  }
+}
+
+// The scalar path is the only intersection tier; the test keeps the
+// name it had when vector tiers existed and checks every strategy at
+// the bucket lengths where a block loop or its tail would slip.
+TEST(KernelSimdTest, AllTiersMatchReferenceAtVectorWidthBuckets) {
+  std::mt19937 rng(2024);
+  for (size_t na : kLengthBuckets) {
+    for (size_t nb : kLengthBuckets) {
+      // Dense (many hits), wide and disjoint-ish, and wide with about
+      // half of a shared.
+      const uint32_t dense = static_cast<uint32_t>(na + nb + 8);
+      auto a = RandomSet(&rng, na, 0, dense);
+      ExpectStrategiesAgree(a, RandomSet(&rng, nb, 0, dense));
+      a = RandomSet(&rng, na, 0, kWideUniverse);
+      ExpectStrategiesAgree(a, RandomSet(&rng, nb, 0, kWideUniverse));
+      ExpectStrategiesAgree(a, OverlappingSet(&rng, a, nb, 0, kWideUniverse));
     }
-    EXPECT_EQ(IntersectSize(a, b), want);
-    EXPECT_EQ(IntersectSize(b, a), want);
   }
 }
 
@@ -94,114 +141,6 @@ TEST(KernelIntersectTest, BitmapEligibilityIsAWindowTest) {
 
 constexpr SetSimKind kAllKinds[] = {SetSimKind::kJaccard, SetSimKind::kDice,
                                     SetSimKind::kOverlap, SetSimKind::kCosine};
-
-// --------------------------------------------- SIMD dispatch + kernels
-
-/// Tiers that can actually run on this machine (resolution clamps, so
-/// every named tier is testable everywhere — unsupported ones just
-/// alias a lower tier).
-const KernelDispatch kSweepTiers[] = {KernelDispatch::kScalar,
-                                      KernelDispatch::kSse4,
-                                      KernelDispatch::kAvx2};
-
-TEST(KernelDispatchTest, StringRoundTripAndUnknownNames) {
-  for (KernelDispatch t : {KernelDispatch::kAuto, KernelDispatch::kAvx2,
-                           KernelDispatch::kSse4, KernelDispatch::kScalar}) {
-    KernelDispatch back;
-    ASSERT_TRUE(KernelDispatchFromString(KernelDispatchToString(t), &back));
-    EXPECT_EQ(back, t);
-  }
-  KernelDispatch t;
-  EXPECT_FALSE(KernelDispatchFromString("", &t));
-  EXPECT_FALSE(KernelDispatchFromString("avx512", &t));
-  EXPECT_FALSE(KernelDispatchFromString("AVX2", &t));
-}
-
-TEST(KernelDispatchTest, ResolutionNeverReturnsAutoAndClampsDown) {
-  for (KernelDispatch req : {KernelDispatch::kAuto, KernelDispatch::kAvx2,
-                             KernelDispatch::kSse4, KernelDispatch::kScalar}) {
-    KernelDispatch got = ResolveKernelDispatch(req);
-    EXPECT_NE(got, KernelDispatch::kAuto);
-    EXPECT_TRUE(CpuSupportsKernelDispatch(got));
-  }
-  // Scalar is always supported and always resolves to itself.
-  EXPECT_EQ(ResolveKernelDispatch(KernelDispatch::kScalar),
-            KernelDispatch::kScalar);
-  EXPECT_TRUE(CpuSupportsKernelDispatch(KernelDispatch::kScalar));
-  EXPECT_NE(BestSupportedKernelDispatch(), KernelDispatch::kAuto);
-  // Gauge values are the documented 0/1/2 encoding.
-  EXPECT_EQ(KernelDispatchGaugeValue(KernelDispatch::kScalar), 0);
-  EXPECT_EQ(KernelDispatchGaugeValue(KernelDispatch::kSse4), 1);
-  EXPECT_EQ(KernelDispatchGaugeValue(KernelDispatch::kAvx2), 2);
-}
-
-TEST(KernelSimdTest, AllTiersMatchReferenceAtVectorWidthBuckets) {
-  std::mt19937 rng(2024);
-  // Length buckets straddle the 4-lane (SSE) and 8-lane (AVX2) block
-  // boundaries plus the scalar tail: off-by-one bugs in the block loop
-  // or MergeTail land exactly there.
-  const size_t buckets[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63,
-                            64, 65, 100};
-  for (size_t na : buckets) {
-    for (size_t nb : buckets) {
-      for (int rep = 0; rep < 6; ++rep) {
-        // Alternate dense (many hits, windows overlap) and sparse
-        // (disjoint-window skip path) universes.
-        uint32_t hi = rep % 2 == 0 ? static_cast<uint32_t>(na + nb + 8)
-                                   : 1000000;
-        auto a = RandomSet(&rng, na, 0, hi);
-        auto b = RandomSet(&rng, nb, 0, hi);
-        size_t want = ReferenceIntersect(a, b);
-        for (KernelDispatch tier : kSweepTiers) {
-          EXPECT_EQ(
-              IntersectSizeSimd(a.data(), a.size(), b.data(), b.size(), tier),
-              want)
-              << "tier=" << KernelDispatchToString(tier) << " na=" << a.size()
-              << " nb=" << b.size();
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelSimdTest, BoundedSimilarityBitEqualAcrossTiers) {
-  std::mt19937 rng(31337);
-  const double xis[] = {0.0, 0.2, 0.5, 0.8, 0.95, 1.0};
-  for (int trial = 0; trial < 400; ++trial) {
-    uint32_t hi = trial % 2 == 0 ? 300 : 50000;
-    auto a = RandomSet(&rng, rng() % 130, 0, hi);
-    auto b = RandomSet(&rng, rng() % 130, 0, hi);
-    SetSimKind kind = kAllKinds[trial % 4];
-    double full = SetSimilarity(kind, a, b);
-    for (double xi : xis) {
-      double want = full >= xi ? full : kBelowThreshold;
-      for (KernelDispatch tier : kSweepTiers) {
-        // Bit-equal including the sentinel: abandon timing differs per
-        // tier (per-block vs per-element) but the decision cannot.
-        EXPECT_EQ(SetSimilarityBounded(kind, a, b, xi, tier), want)
-            << "tier=" << KernelDispatchToString(tier) << " xi=" << xi;
-      }
-    }
-  }
-}
-
-TEST(KernelSimdTest, SimdCounterAdvancesOnVectorTiers) {
-  std::mt19937 rng(5);
-  auto a = RandomSet(&rng, 64, 0, 10000);
-  auto b = RandomSet(&rng, 64, 0, 10000);
-  if (ResolveKernelDispatch(KernelDispatch::kSse4) == KernelDispatch::kScalar) {
-    GTEST_SKIP() << "no vector tier on this CPU";
-  }
-  uint64_t before = KernelCountersNow().simd_intersections;
-  IntersectSizeSimd(a.data(), a.size(), b.data(), b.size(),
-                    KernelDispatch::kSse4);
-  EXPECT_GT(KernelCountersNow().simd_intersections, before);
-  // The scalar tier never touches the SIMD counter.
-  uint64_t mid = KernelCountersNow().simd_intersections;
-  IntersectSizeSimd(a.data(), a.size(), b.data(), b.size(),
-                    KernelDispatch::kScalar);
-  EXPECT_EQ(KernelCountersNow().simd_intersections, mid);
-}
 
 // ------------------------------------------- Myers edit-distance kernel
 
@@ -289,17 +228,12 @@ TEST(MyersTest, NormalizedAtLeastIsExactOrZero) {
   }
 }
 
-// Edit distance takes the Myers kernel whatever the dispatch tier.
+// Every edit distance takes the Myers kernel and counts one call.
 TEST(MyersTest, CounterAdvancesOnEveryTier) {
-  for (KernelDispatch tier : kSweepTiers) {
-    SetActiveKernelDispatch(tier);
-    const uint64_t before = KernelCountersNow().myers_calls;
-    LevenshteinDistance("heterogeneous", "heterogenous");
-    LevenshteinDistanceBounded("heterogeneous", "heterogenous", 3);
-    EXPECT_EQ(KernelCountersNow().myers_calls, before + 2)
-        << KernelDispatchToString(tier);
-  }
-  SetActiveKernelDispatch(KernelDispatch::kAuto);
+  const uint64_t before = KernelCountersNow().myers_calls;
+  LevenshteinDistance("heterogeneous", "heterogenous");
+  LevenshteinDistanceBounded("heterogeneous", "heterogenous", 3);
+  EXPECT_EQ(KernelCountersNow().myers_calls, before + 2);
 }
 
 // ------------------------------------- threshold conversion exactness
@@ -343,21 +277,50 @@ TEST(KernelThresholdTest, MinOverlapMatchesBruteForce) {
   }
 }
 
+/// SetSimilarityBounded returns the exact score or the sentinel at
+/// every threshold. The expected score is the reference intersection
+/// through this file's Formula, not SetSimilarity, so a fault the two
+/// kernel entry points share cannot hide.
+void ExpectBoundedExact(SetSimKind kind, const std::vector<uint32_t>& a,
+                        const std::vector<uint32_t>& b) {
+  const double xis[] = {0.0, 0.2, 0.5, 0.8, 0.95, 1.0};
+  double full = a.empty() || b.empty()
+                    ? 0.0
+                    : Formula(kind, ReferenceIntersect(a, b), a.size(),
+                              b.size());
+  for (double xi : xis) {
+    // Bit-equal, not approximately equal, including the sentinel.
+    EXPECT_EQ(SetSimilarityBounded(kind, a, b, xi),
+              full >= xi ? full : kBelowThreshold)
+        << "kind=" << static_cast<int>(kind) << " na=" << a.size()
+        << " nb=" << b.size() << " xi=" << xi;
+  }
+}
+
 TEST(KernelThresholdTest, BoundedReturnsExactScoreOrSentinel) {
   std::mt19937 rng(7);
-  const double xis[] = {0.0, 0.2, 0.5, 0.8, 1.0};
   for (int trial = 0; trial < 300; ++trial) {
+    // A 0..200 universe: every pair takes the bitmap path.
     auto a = RandomSet(&rng, rng() % 40, 0, 200);
     auto b = RandomSet(&rng, rng() % 40, 0, 200);
-    double full = SetSimilarity(kAllKinds[trial % 4], a, b);
-    for (double xi : xis) {
-      double bounded = SetSimilarityBounded(kAllKinds[trial % 4], a, b, xi);
-      if (full >= xi) {
-        // Bit-equal, not approximately equal.
-        EXPECT_EQ(bounded, full);
-      } else {
-        EXPECT_EQ(bounded, kBelowThreshold);
-      }
+    ExpectBoundedExact(kAllKinds[trial % 4], a, b);
+  }
+}
+
+// The scalar bounded kernels are the only tier; the test keeps the
+// name it had when vector tiers existed. The wide universe reaches the
+// bounded gallop on skewed sizes and the bounded merge, with its
+// abandon test, on balanced ones.
+TEST(KernelSimdTest, BoundedSimilarityBitEqualAcrossTiers) {
+  std::mt19937 rng(31337);
+  int trial = 0;
+  for (size_t na : kLengthBuckets) {
+    for (size_t nb : kLengthBuckets) {
+      auto a = RandomSet(&rng, na, 0, kWideUniverse);
+      ExpectBoundedExact(kAllKinds[trial++ % 4], a,
+                         RandomSet(&rng, nb, 0, kWideUniverse));
+      ExpectBoundedExact(kAllKinds[trial++ % 4], a,
+                         OverlappingSet(&rng, a, nb, 0, kWideUniverse));
     }
   }
 }
@@ -664,78 +627,11 @@ TEST(KernelEngineTest, KnobsAndThreadsNeverChangeTheRun) {
   }
 }
 
-TEST(KernelEngineTest, DispatchTierNeverChangesTheRun) {
-  MovieGeneratorConfig mconfig;
-  mconfig.num_records = 200;
-  mconfig.num_entities = 40;
-  mconfig.seed = 3;
-  PublicationGeneratorConfig pconfig;
-  pconfig.num_records = 160;
-  pconfig.num_entities = 40;
-  pconfig.seed = 19;
-  const Dataset datasets[] = {GenerateMovieDataset(mconfig),
-                              GeneratePublicationDataset(pconfig)};
-  for (const Dataset& ds : datasets) {
-    HeraOptions base;
-    base.kernel_dispatch = KernelDispatch::kScalar;
-    auto want_result = Hera(base).Run(ds);
-    ASSERT_TRUE(want_result.ok());
-    ASSERT_GT(want_result->stats.merges, 0u);
-    RunSignature want = SignatureOf(*want_result);
-    for (KernelDispatch tier : kSweepTiers) {
-      for (size_t threads : {size_t{0}, size_t{4}, size_t{8}}) {
-        HeraOptions opts;
-        opts.kernel_dispatch = tier;
-        opts.num_threads = threads;
-        auto got = Hera(opts).Run(ds);
-        ASSERT_TRUE(got.ok());
-        ExpectSameSignature(want, SignatureOf(*got),
-                            std::string("tier=") +
-                                KernelDispatchToString(tier) +
-                                " threads=" + std::to_string(threads));
-      }
-    }
-  }
-  // Leave the process-global tier back at auto for the other tests.
-  SetActiveKernelDispatch(KernelDispatch::kAuto);
-}
-
-TEST(KernelEngineTest, EditMetricRunIdenticalAcrossTiers) {
-  // Routes the Myers kernel through a whole resolution: the edit
-  // metric's verification path and the baselines' dense loops.
-  MovieGeneratorConfig config;
-  config.num_records = 140;
-  config.num_entities = 28;
-  config.seed = 23;
-  Dataset ds = GenerateMovieDataset(config);
-  HeraOptions base;
-  base.metric = "edit";
-  base.xi = 0.6;
-  base.kernel_dispatch = KernelDispatch::kScalar;
-  auto want_result = Hera(base).Run(ds);
-  ASSERT_TRUE(want_result.ok());
-  ASSERT_GT(want_result->stats.merges, 0u);
-  RunSignature want = SignatureOf(*want_result);
-  for (KernelDispatch tier :
-       {KernelDispatch::kSse4, KernelDispatch::kAvx2, KernelDispatch::kAuto}) {
-    HeraOptions opts;
-    opts.metric = "edit";
-    opts.xi = 0.6;
-    opts.kernel_dispatch = tier;
-    auto got = Hera(opts).Run(ds);
-    ASSERT_TRUE(got.ok());
-    ExpectSameSignature(want, SignatureOf(*got),
-                        std::string("edit tier=") +
-                            KernelDispatchToString(tier));
-  }
-  SetActiveKernelDispatch(KernelDispatch::kAuto);
-}
-
 TEST(KernelEngineTest, Q3MetricArmsKernelsAndStaysLossless) {
   // q = 3 metrics index at their own gram size (GramMetricSize), which
   // arms the encoded kernels and the exact PPJoin+ filters. The trigram
   // universe outgrows the bitmap window, so this is also the path where
-  // a whole resolution actually reaches the SIMD merge kernel.
+  // a whole resolution actually reaches the bounded merge.
   PublicationGeneratorConfig config;
   config.num_records = 260;
   config.num_entities = 52;
@@ -743,38 +639,17 @@ TEST(KernelEngineTest, Q3MetricArmsKernelsAndStaysLossless) {
   Dataset ds = GeneratePublicationDataset(config);
   HeraOptions base;
   base.metric = "jaccard_q3";
-  base.kernel_dispatch = KernelDispatch::kScalar;
   auto want_result = Hera(base).Run(ds);
   ASSERT_TRUE(want_result.ok());
   ASSERT_GT(want_result->stats.merges, 0u);
-  RunSignature want = SignatureOf(*want_result);
   // The prefix-filter join at q = 3 is lossless: the O(n^2) oracle
   // resolves to the same labels.
-  {
-    HeraOptions oracle;
-    oracle.metric = "jaccard_q3";
-    oracle.use_prefix_filter_join = false;
-    auto got = Hera(oracle).Run(ds);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(want.labels, SignatureOf(*got).labels) << "nested-loop oracle";
-  }
-  for (KernelDispatch tier : kSweepTiers) {
-    HeraOptions opts;
-    opts.metric = "jaccard_q3";
-    opts.kernel_dispatch = tier;
-    uint64_t before = KernelCountersNow().simd_intersections;
-    auto got = Hera(opts).Run(ds);
-    ASSERT_TRUE(got.ok());
-    ExpectSameSignature(want, SignatureOf(*got),
-                        std::string("jaccard_q3 tier=") +
-                            KernelDispatchToString(tier));
-    // On a vector tier the trigram sets actually reach the SIMD merge.
-    if (ResolveKernelDispatch(tier) != KernelDispatch::kScalar) {
-      EXPECT_GT(KernelCountersNow().simd_intersections, before)
-          << KernelDispatchToString(tier);
-    }
-  }
-  SetActiveKernelDispatch(KernelDispatch::kAuto);
+  HeraOptions oracle;
+  oracle.metric = "jaccard_q3";
+  oracle.use_prefix_filter_join = false;
+  auto got = Hera(oracle).Run(ds);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(want_result->entity_of, got->entity_of) << "nested-loop oracle";
 }
 
 // --------------------------------------- dense weight loops (baselines)

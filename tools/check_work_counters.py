@@ -16,8 +16,9 @@ for bit for a given seed and source tree: a change in one means the code
 does different work, and the PR that causes it updates the baseline
 (`--update`) and says why in CHANGES.md.
 
-Every counter, `sim.myers_calls` included, is independent of the kernel
-dispatch tier: edit distance runs the Myers kernel on every tier.
+Every counter, `sim.myers_calls` included, is independent of the host
+CPU: the kernels have one scalar path, and every edit distance runs the
+Myers kernel.
 
 Exit codes: 0 every count matches, 1 a count differs or a run was not
 correct, 2 operational error (a run printed no result, missing baseline).
