@@ -170,22 +170,32 @@ constexpr int kSuffixFilterDepth = 2;
 /// this — verifying tiny sets outright is cheaper than bounding them.
 constexpr size_t kSuffixFilterMinRemain = 8;
 
-/// PPJoin+-style check at the pair's first shared prefix token, found
-/// at position `px` of `x` and `py` of `y` (both sorted rare-first).
-/// Elements below the shared token contribute at most min(px, py) to
-/// the intersection, the token itself 1, the suffixes at most
-/// min(remaining) (positional bound) — tightened by a depth-limited
-/// partition bound (suffix filter). Pruning only when the intersection
-/// provably cannot reach MinOverlapForThreshold keeps the filter exact:
-/// every pruned pair scores < xi.
+/// PPJoin-style check at the pair's first shared prefix token, found
+/// at position `px` of probe `x` and `py` of indexed `y` (both sorted
+/// rare-first, ids strictly ascending). The shared token contributes 1
+/// to the intersection, the suffixes past it at most min(remaining)
+/// (positional bound), tightened by a depth-limited partition bound
+/// (suffix filter).
+///
+/// When `uncapped` (no posting list shed an entry), x[0..px) and
+/// y[0..py) share no token with the other set: each of their tokens is
+/// rarer than the shared one, so it could only match below it, inside
+/// x's probed prefix and y's indexed portion; such a match would have
+/// put y on an earlier probed list, where the probe's dedup marker
+/// would have fired first. The overlap is then exactly
+/// 1 + |x[px+1..] ∩ y[py+1..]|. A capped list can hide that earlier
+/// match, so a ceiling run charges min(px, py) for the tokens below.
+/// Pruning only when the intersection provably cannot reach
+/// MinOverlapForThreshold keeps the filter exact: every pruned pair
+/// scores < xi.
 /// Returns 0 = keep, 1 = positional-pruned, 2 = suffix-pruned.
 int PositionalSuffixFilter(const std::vector<uint32_t>& x, size_t px,
                            const std::vector<uint32_t>& y, size_t py,
-                           double xi) {
+                           double xi, bool uncapped) {
   const size_t nx = x.size(), ny = y.size();
   const size_t alpha =
       MinOverlapForThreshold(SetSimKind::kJaccard, nx, ny, xi);
-  const size_t below = std::min(px, py) + 1;
+  const size_t below = uncapped ? 1 : std::min(px, py) + 1;
   const size_t rx = nx - px - 1, ry = ny - py - 1;
   if (below + std::min(rx, ry) < alpha) return 1;
   if (std::min(rx, ry) >= kSuffixFilterMinRemain) {
@@ -841,6 +851,9 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
     const std::vector<uint32_t>& y = ids_of(base_side, si);
     postings.Add(y, self ? PrefixLen(y.size(), filter_xi) : y.size(), si);
   }
+  // A shed entry voids the positional filter's disjointness argument
+  // (PositionalSuffixFilter), so it is settled here, before the probe.
+  const bool uncapped = postings.shed() == 0;
 
   // Probe (parallel), one probe per distinct text. Candidates for probe
   // pi are base texts sharing a prefix token with it and passing the
@@ -933,7 +946,8 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                   continue;
                 }
                 if (plan.exact_filters) {
-                  int pruned = PositionalSuffixFilter(x, k, y, e.pos, xi);
+                  int pruned =
+                      PositionalSuffixFilter(x, k, y, e.pos, xi, uncapped);
                   if (pruned != 0) {
                     if (pruned == 1) {
                       ++co.counters.pruned_positional;
