@@ -1,12 +1,10 @@
 // Parallel scaling: wall time vs worker threads (1/2/4/8) for the
-// similarity join and full resolution, plus TokenCache effectiveness.
+// similarity join and full resolution.
 //
 // Shape expectations: join and verification time fall as threads rise
 // (the speedup column approaches the physical core count; on a
 // single-core machine all rows are flat — the point of the harness is
 // the *identical results* column, which must read "yes" everywhere).
-// The TokenCache section shows a near-zero hit rate on the first join
-// and a near-100% rate on the second, identical-output join.
 //
 // The final section measures timeline-sampler overhead: the same run
 // with collect_report only vs. report + a 50 ms sampler, best of 3.
@@ -22,11 +20,7 @@
 #include <cstdlib>
 
 #include "bench_util.h"
-#include "common/timer.h"
 #include "data/movie_generator.h"
-#include "sim/metrics.h"
-#include "simjoin/similarity_join.h"
-#include "text/token_cache.h"
 
 using namespace hera;
 
@@ -35,20 +29,6 @@ namespace {
 size_t BenchRecords() {
   const char* v = std::getenv("HERA_BENCH_RECORDS");
   return v != nullptr ? std::strtoull(v, nullptr, 10) : 2000;
-}
-
-std::vector<LabeledValue> ValuesOf(const Dataset& ds) {
-  std::vector<LabeledValue> values;
-  for (const Record& r : ds.records()) {
-    SuperRecord sr = SuperRecord::FromRecord(r);
-    for (uint32_t f = 0; f < sr.num_fields(); ++f) {
-      for (uint32_t v = 0; v < sr.field(f).size(); ++v) {
-        values.push_back(
-            {ValueLabel{sr.rid(), f, v}, sr.field(f).value(v).value});
-      }
-    }
-  }
-  return values;
 }
 
 }  // namespace
@@ -107,34 +87,6 @@ int main() {
                 best_resolve, best_total, baseline_ms / best_total,
                 identical ? "yes" : "NO");
   }
-  bench::PrintRule();
-
-  // TokenCache effectiveness: the second join over the same live value
-  // set (what every round after the first sees) is served from the
-  // cache. Output must not change.
-  std::vector<LabeledValue> values = ValuesOf(ds);
-  auto metric = MakeSimilarity(HeraOptions{}.metric);
-  PrefixFilterJoin join;
-  auto cache = std::make_shared<TokenCache>(join.q());
-  join.SetTokenCache(cache);
-  std::vector<ValuePair> first, second;
-  Timer t1;
-  if (!join.Join(values, *metric, 0.5, RunGuard(), &first).ok()) return 1;
-  double cold_ms = t1.ElapsedMillis();
-  TokenCache::Stats cold = cache->stats();
-  Timer t2;
-  if (!join.Join(values, *metric, 0.5, RunGuard(), &second).ok()) return 1;
-  double warm_ms = t2.ElapsedMillis();
-  TokenCache::Stats warm = cache->stats();
-  uint64_t round2_hits = warm.hits - cold.hits;
-  uint64_t round2_total = round2_hits + (warm.misses - cold.misses);
-  std::printf("token cache: %zu entries interned\n", warm.entries);
-  std::printf("  round 1 (cold): %6.1f ms, hit rate %5.1f%%\n", cold_ms,
-              100.0 * cold.hits / (cold.hits + cold.misses));
-  std::printf("  round 2 (warm): %6.1f ms, hit rate %5.1f%%, identical %s\n",
-              warm_ms,
-              round2_total > 0 ? 100.0 * round2_hits / round2_total : 0.0,
-              first.size() == second.size() ? "yes" : "NO");
 
   // Timeline-sampler overhead: same resolution with the report on in
   // both arms, the 50 ms sampler only in the second. Best of 5 per arm

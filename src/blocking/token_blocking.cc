@@ -132,7 +132,7 @@ std::vector<uint32_t> TokenBlockingER(const Dataset& dataset,
   std::vector<Block> blocks = BuildBlocks(dataset, options.blocking);
   PurgeBlocks(&blocks, n, options.blocking);
   UnionFind uf(n);
-  BestPairScorer scorer(simv, options.use_encoded_kernels);
+  BestPairScorer scorer(simv);
   for (auto [i, j] : CandidatePairsFromBlocks(blocks)) {
     if (uf.Connected(i, j)) continue;
     double sim =

@@ -17,17 +17,12 @@
 namespace hera {
 
 JoinSetup MakeJoinSetup(const HeraOptions& options,
-                        const ValueSimilarity& simv, bool cache_tokens) {
+                        const ValueSimilarity& simv) {
   JoinSetup setup;
   if (options.use_prefix_filter_join) {
     const int metric_q = GramMetricSize(simv.Name());
-    auto pf = std::make_unique<PrefixFilterJoin>(metric_q > 0 ? metric_q : 2);
-    if (cache_tokens) {
-      setup.token_cache = std::make_shared<TokenCache>(pf->q());
-      pf->SetTokenCache(setup.token_cache);
-    }
-    pf->SetEncodedKernels(options.use_encoded_kernels);
-    setup.joiner = std::move(pf);
+    setup.joiner =
+        std::make_unique<PrefixFilterJoin>(metric_q > 0 ? metric_q : 2);
   } else {
     setup.joiner = std::make_unique<NestedLoopJoin>();
   }
@@ -45,10 +40,9 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       guard_(options.guard),
       predictor_(options.vote_prior_p, options.vote_rho) {
   assert(simv_ != nullptr);
-  JoinSetup join = MakeJoinSetup(options_, *simv_, /*cache_tokens=*/true);
+  JoinSetup join = MakeJoinSetup(options_, *simv_);
   joiner_ = std::move(join.joiner);
   pool_ = std::move(join.pool);
-  token_cache_ = std::move(join.token_cache);
   index_.SetCeilings(guard_.max_index_pairs(), guard_.max_posting_list());
 #ifndef HERA_DISABLE_OBS
   // A timeline interval implies report collection: the samples land in
@@ -98,8 +92,8 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       obs::RunTrace* trace = trace_.get();
       sampler_ = std::make_unique<obs::TimelineSampler>(
           sopts, [trace] { return trace->NowMs(); }, &trace_->timeline());
-      // Every probe is a relaxed atomic load or an internally-locked
-      // cache counter — read-only with respect to resolution state.
+      // Every probe is a relaxed atomic load — read-only with respect
+      // to resolution state.
       obs::Counter* c_merges = c_merges_;
       sampler_->AddProbe("merges",
                          [c_merges] { return static_cast<double>(c_merges->value()); });
@@ -113,12 +107,6 @@ ResolutionEngine::ResolutionEngine(const HeraOptions& options,
       });
       obs::Gauge* g_index = m.GetGauge("index.size");
       sampler_->AddProbe("index_size", [g_index] { return g_index->value(); });
-      if (token_cache_) {
-        std::shared_ptr<TokenCache> tc = token_cache_;
-        sampler_->AddProbe("token_cache_entries", [tc] {
-          return static_cast<double>(tc->stats().entries);
-        });
-      }
       if (options_.progressive) {
         // Paired with the `merges` track above this samples the
         // recall-vs-verified-pairs curve: merges (recall proxy, and
@@ -267,17 +255,6 @@ std::vector<LabeledValue> ResolutionEngine::ValuesOf(const SuperRecord& sr) cons
   return values;
 }
 
-void ResolutionEngine::SyncTokenCacheMetrics() {
-  if (!trace_ || !token_cache_) return;
-  // Cache totals are cumulative; bring the counters up to date rather
-  // than double counting across rounds.
-  TokenCache::Stats s = token_cache_->stats();
-  obs::Counter* interned = trace_->metrics().GetCounter("tokens.interned");
-  if (s.misses > interned->value()) interned->Inc(s.misses - interned->value());
-  obs::Counter* hits = trace_->metrics().GetCounter("tokens.cache_hits");
-  if (s.hits > hits->value()) hits->Inc(s.hits - hits->value());
-}
-
 void ResolutionEngine::SyncKernelMetrics() {
   if (!trace_) return;
   // The kernel counters are process-global (hot loops cannot afford
@@ -357,7 +334,6 @@ StatusOr<size_t> ResolutionEngine::IndexNewRecords() {
   indexed_watermark_ = static_cast<uint32_t>(uf_.Size());
   stats_.index_size = index_.size();
   HarvestIndexMetrics();
-  SyncTokenCacheMetrics();
   SyncKernelMetrics();
   // New pairs invalidate any carried loop state: the next fixpoint loop
   // must rescan every group.

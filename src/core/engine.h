@@ -35,30 +35,25 @@
 #include "schema/majority_vote.h"
 #include "sim/similarity.h"
 #include "simjoin/similarity_join.h"
-#include "text/token_cache.h"
 
 namespace hera {
 
-/// The similarity join a run with `options` uses, with the state it
-/// shares across join calls. ResolutionEngine and
-/// ComputeSimilarValuePairs both build their joiner with MakeJoinSetup.
+/// The similarity join a run with `options` uses, with the pool it runs
+/// on. ResolutionEngine and ComputeSimilarValuePairs both build their
+/// joiner with MakeJoinSetup.
 struct JoinSetup {
   std::unique_ptr<SimilarityJoin> joiner;
   /// Worker pool the joiner runs on; null when num_threads <= 1.
   std::unique_ptr<ThreadPool> pool;
-  /// Interned q-gram sets; prefix-filter joiner with cache_tokens only.
-  std::shared_ptr<TokenCache> token_cache;
 };
 
 /// Builds the joiner `options` select for metric `simv`. The prefix
 /// filter indexes at the metric's own gram size (q = 2 for non-gram
 /// metrics), so q != 2 gram metrics get the exact filters and encoded
-/// kernels instead of silently verifying on the string path.
-/// `cache_tokens` installs a TokenCache on the prefix filter: the
-/// engine joins every round's values and re-tokenizes the strings it
-/// has seen, while a one-shot join has nothing to reuse.
+/// kernels instead of silently verifying on the string path. Each join
+/// call tokenizes its distinct texts afresh, in every round.
 JoinSetup MakeJoinSetup(const HeraOptions& options,
-                        const ValueSimilarity& simv, bool cache_tokens);
+                        const ValueSimilarity& simv);
 
 /// \brief Stateful compare-and-merge resolver.
 ///
@@ -179,10 +174,6 @@ class ResolutionEngine {
   /// (no-op when tracing is off).
   void HarvestIndexMetrics();
 
-  /// Brings the tokens.interned / tokens.cache_hits counters up to the
-  /// token cache's cumulative totals (no-op without trace or cache).
-  void SyncTokenCacheMetrics();
-
   /// Publishes this run's kernel.myers_calls delta from the
   /// process-global kernel counter (sim/kernel_dispatch.h), against the
   /// baseline captured at engine construction.
@@ -196,9 +187,6 @@ class ResolutionEngine {
   /// Worker pool the joiner runs on (null when num_threads <= 1). The
   /// compare-and-merge loop never uses it.
   std::unique_ptr<ThreadPool> pool_;
-  /// Interned q-gram sets shared across join calls and incremental
-  /// rounds (only installed for the prefix-filter joiner).
-  std::shared_ptr<TokenCache> token_cache_;
 
   UnionFind uf_;
   std::map<uint32_t, SuperRecord> active_;

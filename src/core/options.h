@@ -37,13 +37,10 @@ struct HeraOptions {
   /// nested-loop oracle (false; the paper's slow baseline).
   bool use_prefix_filter_join = true;
 
-  /// Verify join candidates on the integer-encoded gram sets
-  /// (sim/kernel.h) with threshold-driven early exit, and arm the
-  /// PPJoin+-style positional/suffix filters where they are exact.
-  /// Kernel scores are bit-equal to the string path, so this is purely
-  /// a speed knob: labels, merge_sequence, and snapshots are identical
-  /// either way. Off verifies every candidate with the metric itself
-  /// (A/B comparisons). See docs/performance.md.
+  /// Ignored: the prefix-filter join verifies every q-gram set metric
+  /// on the integer-encoded gram sets (sim/kernel.h). Remains only for
+  /// perfbench's traced run, which still reads it, until a benchmark
+  /// change drops it. Not part of checkpoint fingerprints.
   bool use_encoded_kernels = true;
 
   /// Ignored: the similarity kernels have one scalar path (see
@@ -108,8 +105,8 @@ struct HeraOptions {
   bool collect_report = false;
 
   /// Tick period of the background timeline sampler, which snapshots
-  /// process RSS/CPU and the run's counters (merges, emitted pairs,
-  /// cache occupancy) into RunReport::timeline. 0 (the default)
+  /// process RSS/CPU and the run's counters (merges, verified groups,
+  /// emitted pairs, index size) into RunReport::timeline. 0 (the default)
   /// disables the sampler thread entirely. Implies report collection
   /// when set. Sampling is read-only over atomics — labels and
   /// merge_sequence are byte-identical with it on or off. Ignored

@@ -27,8 +27,8 @@
 // every cell is below floor the return value is < floor but not
 // necessarily the true maximum. A caller that consumes the result only
 // through a `best >= floor` gate — which is what every dense loop here
-// does, per Definition 5's ξ cutoff — therefore observes identical
-// scores, sums, and labels with the scorer on or off.
+// does, per Definition 5's ξ cutoff — therefore observes the scores,
+// sums, and labels a plain simv.Compute loop would give.
 
 #ifndef HERA_MATCHING_WEIGHT_KERNEL_H_
 #define HERA_MATCHING_WEIGHT_KERNEL_H_
@@ -56,9 +56,7 @@ namespace hera {
 /// the metric token caches.
 class BestPairScorer {
  public:
-  /// `use_kernel = false` forces the simv.Compute path for every cell
-  /// (A/B toggle; results are bit-equal either way).
-  explicit BestPairScorer(const ValueSimilarity& simv, bool use_kernel = true);
+  explicit BestPairScorer(const ValueSimilarity& simv);
 
   /// Max over cells (a_i, b_j) of simv.Compute, exact when >= floor
   /// (see the contract above). Null values score 0, as in the metrics.

@@ -1,8 +1,8 @@
 // Integer-encoded similarity kernels.
 //
 // The join and the verification phase already hold every string value
-// as a sorted vector of dense uint32_t gram ids (QgramDictionary /
-// TokenCache). These kernels compute the set-overlap similarity family
+// as a sorted vector of dense uint32_t gram ids (QgramDictionary).
+// These kernels compute the set-overlap similarity family
 // — Jaccard, Dice, overlap coefficient, cosine — directly on those id
 // sets, so the hot loop is an integer merge instead of a re-normalize +
 // re-tokenize + string compare per call.

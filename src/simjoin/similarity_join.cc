@@ -157,8 +157,7 @@ struct VerifyPlan {
   /// (bit-equal to the string path; see sim/kernel.h).
   bool use_kernel = false;
   SetSimKind kind = SetSimKind::kJaccard;
-  /// Positional/suffix filters apply (exact threshold: q-gram Jaccard
-  /// with kernels on).
+  /// Positional/suffix filters apply (exact threshold: q-gram Jaccard).
   bool exact_filters = false;
 };
 
@@ -207,15 +206,14 @@ int PositionalSuffixFilter(const std::vector<uint32_t>& x, size_t px,
   return 0;
 }
 
-VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q,
-                          bool encoded_kernels) {
+VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q) {
   VerifyPlan plan;
   SetSimKind kind;
-  if (encoded_kernels && GramMetricKind(simv.Name(), q, &kind)) {
+  if (GramMetricKind(simv.Name(), q, &kind)) {
     plan.use_kernel = true;
     plan.kind = kind;
   }
-  plan.exact_filters = encoded_kernels && IsJaccardMetric(simv, q);
+  plan.exact_filters = IsJaccardMetric(simv, q);
   return plan;
 }
 
@@ -751,7 +749,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // pairs back into occurrence pairs, in the order a join over the
   // occurrences themselves would emit them (docs/performance.md).
   const bool exact_jaccard = IsJaccardMetric(simv, q_);
-  const VerifyPlan plan = MakeVerifyPlan(simv, q_, encoded_kernels_);
+  const VerifyPlan plan = MakeVerifyPlan(simv, q_);
   // For non-Jaccard metrics the gram filter is only a blocker; run it
   // at a slackened threshold so near-threshold true pairs survive.
   const double filter_xi = exact_jaccard ? xi : xi * filter_slack_;
@@ -759,49 +757,29 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   const size_t nd = distinct.value.size();
 
   // Tokenize (parallel): normalization + gram extraction, the
-  // embarrassingly parallel part. Grams come from the shared TokenCache
-  // when one is installed (rounds >= 2 of an incremental run hit it
-  // almost every time), else are extracted fresh. Workers write
-  // disjoint slots.
-  TokenCache* cache = (cache_ && cache_->q() == q_) ? cache_.get() : nullptr;
-  std::vector<TokenCache::GramsPtr> shared_grams;
-  std::vector<std::vector<std::string>> owned_grams;
-  if (cache) {
-    shared_grams.resize(nd);
-  } else {
-    owned_grams.resize(nd);
-  }
+  // embarrassingly parallel part. Workers write disjoint slots.
+  std::vector<std::vector<std::string>> grams(nd);
   {
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, nd, DefaultGrain(nd, nworkers),
         [&](size_t /*chunk*/, size_t begin, size_t end, size_t /*worker*/) {
           for (size_t t = begin; t < end; ++t) {
-            std::string normalized = Normalize(distinct.value[t]->ToString());
-            if (cache) {
-              shared_grams[t] = cache->Grams(normalized);
-            } else {
-              owned_grams[t] = QgramSet(normalized, q_);
-            }
+            grams[t] = QgramSet(Normalize(distinct.value[t]->ToString()), q_);
           }
         },
         rec);
     AccumulateBusy(stats, report, "join.tokenize", phase_t0);
   }
-  auto grams_of = [&](size_t t) -> const std::vector<std::string>& {
-    return cache ? *shared_grams[t] : owned_grams[t];
-  };
-
   // Dictionary build + encoding (serial): both mutate the dictionary.
   // Ids follow ascending global gram frequency, counted per occurrence,
   // so they do not depend on the order grams are added in.
   QgramDictionary dict(q_);
-  for (size_t t = 0; t < nd; ++t) dict.AddGrams(grams_of(t), distinct.count[t]);
+  for (size_t t = 0; t < nd; ++t) dict.AddGrams(grams[t], distinct.count[t]);
   dict.Freeze();
   std::vector<std::vector<uint32_t>> ids(nd);
-  for (size_t t = 0; t < nd; ++t) ids[t] = dict.EncodeGrams(grams_of(t));
-  shared_grams.clear();
-  owned_grams.clear();
+  for (size_t t = 0; t < nd; ++t) ids[t] = dict.EncodeGrams(grams[t]);
+  std::vector<std::vector<std::string>>().swap(grams);
 
   // Occurrence sides. An empty gram set has nothing to match on. The
   // self-join visits its occurrences in ascending gram-set size, sorted

@@ -196,7 +196,9 @@ class NestedLoopJoin : public SimilarityJoin {
 /// ascending global frequency, length + prefix filters over an
 /// inverted index — plus positional and suffix filters when the
 /// threshold is exact — then verification on the encoded token sets
-/// (kernel-eligible metrics) or with the actual metric.
+/// for every q-gram set metric with the filter's q, and with the
+/// actual metric otherwise. Which of the two a join uses follows from
+/// the metric's name alone.
 ///
 /// Both entry points run one pipeline: a numeric sweep, then the token
 /// path over each distinct value: interning, tokenizing, a dictionary
@@ -204,7 +206,8 @@ class NestedLoopJoin : public SimilarityJoin {
 /// body; then an expansion of the similar distinct pairs into labeled
 /// occurrence pairs. Values are interned by exact payload (a string by
 /// its text, a number by its bit pattern), so every distinct text is
-/// tokenized, indexed and verified once however often it occurs. The
+/// tokenized, indexed and verified once however often it occurs. Each
+/// call tokenizes afresh: no gram cache outlives a join. The
 /// entry points differ only in what probes what. Join() probes each
 /// distinct set, in ascending-size order, against the prefix lists of
 /// the sets before it, with a one-sided length filter, and pairs a text
@@ -242,33 +245,23 @@ class PrefixFilterJoin : public SimilarityJoin {
   explicit PrefixFilterJoin(int q = 2, double filter_slack = 0.7)
       : q_(q), filter_slack_(filter_slack) {}
 
-  /// Shares an interned-gram cache across joins (and rounds): value
-  /// tokenization is served from it instead of re-extracting q-grams.
-  /// A cache built for a different gram length is ignored. Caching
-  /// never changes results — only the tokenization cost.
-  void SetTokenCache(std::shared_ptr<TokenCache> cache) {
-    cache_ = std::move(cache);
-  }
-  const TokenCache* token_cache() const { return cache_.get(); }
-
-  /// Gram length of the filter's tokenization (a compatible TokenCache
-  /// must be built with the same q).
+  /// Gram length of the filter's tokenization.
   int q() const { return q_; }
+
+  /// Ignored: each join tokenizes every distinct value text once, with
+  /// no cache. Remains only for perfbench's traced run, which still
+  /// calls it, until a benchmark change drops the call.
+  void SetTokenCache(std::shared_ptr<TokenCache> /*cache*/) {}
 
   /// Ignored (see IndexBackend); remains only for perfbench's traced
   /// run until a benchmark change drops the call.
   void SetIndexBackend(IndexBackend /*backend*/, size_t /*pipeline_depth*/) {}
 
-  /// Toggles the integer-encoded verification kernels (sim/kernel.h)
-  /// and the PPJoin+-style positional/suffix filters that ride on
-  /// them. On (the default), kernel-eligible metrics (Jaccard / Dice /
-  /// overlap / cosine over q-grams with matching q) are verified
-  /// directly on the encoded token sets with threshold-driven early
-  /// exit — bit-equal to the string path, so emitted pairs are
-  /// byte-identical either way. Off verifies every candidate with the
-  /// metric itself (A/B comparisons, debugging).
-  void SetEncodedKernels(bool enabled) { encoded_kernels_ = enabled; }
-  bool encoded_kernels() const { return encoded_kernels_; }
+  /// Ignored: every q-gram set metric (Jaccard / Dice / overlap /
+  /// cosine with matching q) is verified on the integer-encoded gram
+  /// sets (sim/kernel.h). Remains only for perfbench's traced run,
+  /// which still calls it, until a benchmark change drops the call.
+  void SetEncodedKernels(bool /*enabled*/) {}
 
   Status Join(const std::vector<LabeledValue>& values,
               const ValueSimilarity& simv, double xi, const RunGuard& guard,
@@ -294,8 +287,6 @@ class PrefixFilterJoin : public SimilarityJoin {
 
   int q_;
   double filter_slack_;
-  bool encoded_kernels_ = true;
-  std::shared_ptr<TokenCache> cache_;
 };
 
 }  // namespace hera

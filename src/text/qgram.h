@@ -44,8 +44,8 @@ class QgramDictionary {
   void Add(std::string_view s);
 
   /// Counts an already-extracted gram set (pass 1); `grams` must be the
-  /// QgramSet of one string (sorted, deduplicated). Lets callers that
-  /// intern gram sets (text/token_cache.h) skip re-extraction. `count`
+  /// QgramSet of one string (sorted, deduplicated). Lets a caller that
+  /// already holds the gram sets skip re-extraction. `count`
   /// adds the set that many times, as if once per occurrence of a
   /// string that recurs: ids depend on occurrence frequencies.
   void AddGrams(const std::vector<std::string>& grams, uint64_t count = 1);

@@ -31,16 +31,6 @@ TokenCache::GramsPtr TokenCache::Grams(const std::string& normalized) {
   return it->second;
 }
 
-void TokenCache::Invalidate(const std::string& normalized) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  map_.erase(normalized);
-}
-
-void TokenCache::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  map_.clear();
-}
-
 TokenCache::Stats TokenCache::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);

@@ -1,20 +1,18 @@
-// Interned q-gram token vectors, shared across joins and rounds.
+// The per-metric gram cache: interned q-gram token vectors.
 //
-// Every similarity-join round re-tokenizes the live value set, yet
-// super-record merging only permutes value *labels* — the value text
-// itself is immutable — so from the second round on the overwhelming
-// majority of tokenizations are repeats. TokenCache interns the q-gram
-// set of each normalized value string once and hands out shared_ptr
-// references; a hit is one hash lookup instead of a gram extraction,
-// sort, and dedup.
+// Each q-gram set metric (sim/metrics.h) owns one. Its Compute is called
+// once per scored pair by NestedLoopJoin and by the baselines, so the
+// same value text is tokenized again and again; TokenCache interns the
+// q-gram set of each normalized value string once and hands out
+// shared_ptr references. A hit is one hash lookup instead of a gram
+// extraction, sort, and dedup. (The prefix-filter join does not use it:
+// it tokenizes each distinct text once per call.)
 //
-// Keys are the normalized value text (content-addressed), which makes
-// merge invalidation a no-op by construction: a merged super record
-// carries the same value strings its sources did, so its cache entries
-// stay valid. Invalidate()/Clear() exist for values an application
-// rewrites in place and for bounding memory; when the capacity ceiling
-// is reached new entries are computed but not retained (the cache
-// degrades to a pass-through instead of growing without bound).
+// Keys are the normalized value text (content-addressed), so an entry
+// never goes stale: a merged super record carries the same value
+// strings its sources did. When the capacity ceiling is reached new
+// entries are computed but not retained (the cache degrades to a
+// pass-through instead of growing without bound).
 //
 // Thread safety: Grams() may be called concurrently from join workers;
 // lookups take a shared lock, insertions a unique one, and published
@@ -56,12 +54,6 @@ class TokenCache {
   /// The q-gram set of `normalized` (sorted, deduplicated — the
   /// QgramSet contract), served from the cache when interned.
   GramsPtr Grams(const std::string& normalized);
-
-  /// Drops one entry (no-op when absent).
-  void Invalidate(const std::string& normalized);
-
-  /// Drops every entry; counters are kept.
-  void Clear();
 
   Stats stats() const;
 

@@ -523,7 +523,6 @@ struct PinCase {
   const char* metric;
   double xi;
   int q;
-  bool token_cache;
   size_t max_posting;
   uint64_t join_pairs_fp;
   uint64_t join_ab_pairs_fp;
@@ -536,23 +535,21 @@ struct PinCase {
 std::vector<PinCase> PinCases() {
   std::vector<PinCase> cases;
   cases.push_back({"movies jaccard_q2", Movies(240, 7), "jaccard_q2", 0.5, 2,
-                   true, 0,
-                   0x86d0d38c74b52444ull, 0xcaa3cd10c3675ca4ull,
+                   0, 0x86d0d38c74b52444ull, 0xcaa3cd10c3675ca4ull,
                    0x511558278496d949ull, 0xd1e85fecec48b547ull});
   cases.push_back({"movies edit", Movies(120, 5), "edit", 0.6, 2,
-                   false, 0,
-                   0x9eebf56485608799ull, 0x9506ee3e1818a258ull,
+                   0, 0x9eebf56485608799ull, 0x9506ee3e1818a258ull,
                    0xf12853901e1d4ff3ull, 0x37c0101641602fa8ull});
   cases.push_back({"publications jaccard_q3", Publications(200, 11),
-                   "jaccard_q3", 0.5, 3, false, 0,
+                   "jaccard_q3", 0.5, 3, 0,
                    0x9002cd18c4146a3dull, 0xb9be53c657c147b6ull,
                    0x351314ee5308a977ull, 0xa9d3e7edd7280de0ull});
   cases.push_back({"hybrid relative window", HybridValues(23),
-                   "hybrid(jaccard_q2)", 0.8, 2, false, 0,
+                   "hybrid(jaccard_q2)", 0.8, 2, 0,
                    0xa78acf1818bf004dull, 0xd686ac80e39befe8ull,
                    0x8b90d0404b96f2edull, 0x4d05ce48f089b558ull});
   cases.push_back({"hybrid numeric_tol window", HybridValues(29),
-                   "hybrid(jaccard_q2,numeric_tol30)", 0.6, 2, true, 0,
+                   "hybrid(jaccard_q2,numeric_tol30)", 0.6, 2, 0,
                    0x502f5c42224ac2a7ull, 0xc41a75dc0c437f31ull,
                    0x78f7c2b8641331bcull, 0x3f347f489638299full});
   // The ceiling caps distinct-text entries per posting list, so this
@@ -563,23 +560,21 @@ std::vector<PinCase> PinCases() {
   // (charge only the shared token) drops true pairs here and moves both
   // pairs fingerprints.
   cases.push_back({"movies posting ceiling", Movies(240, 13), "jaccard_q2",
-                   0.4, 2, false, 6,
+                   0.4, 2, 6,
                    0x9d5a65f537340dc4ull, 0x87dbca4a304dd42bull,
                    0x2440f6e3b50d9691ull, 0x2908e881da32d305ull});
   cases.push_back({"movies monge_elkan", Movies(120, 3), "monge_elkan", 0.7, 2,
-                   false, 0,
-                   0xeae9eb7c0e105ffeull, 0xe233f9d065acaf48ull,
+                   0, 0xeae9eb7c0e105ffeull, 0xe233f9d065acaf48ull,
                    0x52b08575d4bac7b0ull, 0x3e233dae98da4f99ull});
   cases.push_back({"duplicates jaccard_q2", DuplicateValues(31), "jaccard_q2",
-                   0.5, 2, true, 0,
+                   0.5, 2, 0,
                    0x3bda150d5cc22814ull, 0xaa4f98815e6417faull,
                    0xcf17f3abc4cf576eull, 0xb928b21108fac1a6ull});
   cases.push_back({"duplicates edit", DuplicateValues(37), "edit", 0.5, 2,
-                   false, 0,
-                   0x66f0835bc5d2c5c3ull, 0x0d4d8336eb1b8a56ull,
+                   0, 0x66f0835bc5d2c5c3ull, 0x0d4d8336eb1b8a56ull,
                    0xb9985295ff5a5388ull, 0xb1558ed6d15ea72eull});
   cases.push_back({"duplicates monge_elkan", DuplicateValues(41),
-                   "monge_elkan", 0.6, 2, false, 0,
+                   "monge_elkan", 0.6, 2, 0,
                    0x602a8bbfe4aa1d24ull, 0x34e5630ae83374faull,
                    0x584224ac53eed5b6ull, 0x680082bb5cf52f84ull});
   return cases;
@@ -602,9 +597,6 @@ TEST(JoinOrderPinTest, EmissionOrderAndCountersArePinned) {
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
       PrefixFilterJoin join(c.q);
       join.SetExecutor(pool.get());
-      if (c.token_cache) {
-        join.SetTokenCache(std::make_shared<TokenCache>(c.q));
-      }
       const std::string where =
           std::string(c.name) + " threads=" + std::to_string(threads);
 
