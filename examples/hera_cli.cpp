@@ -9,7 +9,6 @@
 //                    [--checkpoint-dir DIR] [--checkpoint-every K]
 //                    [--resume] [--deadline-ms MS]
 //                    [--progressive] [--max-verifications N]
-//                    [--frontier-capacity C]
 //   hera_cli generate <movies|publications|ambiguous> <output.hera>
 //                    [--records N] [--entities E] [--seed S] [--decoys D]
 //   hera_cli stats <input.hera>
@@ -39,8 +38,7 @@
 // Progressive mode: --progressive verifies candidate groups best-first
 // (highest similarity upper bound first) whenever the run is governed,
 // so a budget or deadline cut sheds the least promising work;
-// --max-verifications N caps total verifier invocations and
-// --frontier-capacity C bounds the per-pass reordering (see
+// --max-verifications N caps total verifier invocations (see
 // docs/operational_limits.md, "Progressive mode"). SIGINT/SIGTERM are
 // converted into cooperative cancellation: the run stops at its next
 // safe point, checkpoints, and exits 2 with a resume hint.
@@ -96,7 +94,6 @@ int Usage() {
       "                   [--checkpoint-dir DIR] [--checkpoint-every K]\n"
       "                   [--resume] [--deadline-ms MS]\n"
       "                   [--progressive] [--max-verifications N]\n"
-      "                   [--frontier-capacity C]\n"
       "  hera_cli generate <movies|publications|ambiguous> <output.hera>\n"
       "                   [--records N] [--entities E] [--seed S]\n"
       "                   [--decoys D]   (ambiguous only; --records unused)\n"
@@ -155,7 +152,6 @@ constexpr FlagSpec kResolveFlags[] = {
     {"--deadline-ms", true},
     {"--progressive", false},
     {"--max-verifications", true},
-    {"--frontier-capacity", true},
 };
 
 constexpr FlagSpec kGenerateFlags[] = {
@@ -227,9 +223,7 @@ int CmdResolve(int argc, char** argv) {
       !NumericFlag(argc, argv, "--threads", &opts.num_threads) ||
       !NumericFlag(argc, argv, "--checkpoint-every", &opts.checkpoint_every) ||
       !NumericFlag(argc, argv, "--deadline-ms", &deadline_ms) ||
-      !NumericFlag(argc, argv, "--max-verifications", &max_verifications) ||
-      !NumericFlag(argc, argv, "--frontier-capacity",
-                   &opts.frontier_capacity)) {
+      !NumericFlag(argc, argv, "--max-verifications", &max_verifications)) {
     return Usage();
   }
   if (const char* v = FlagValue(argc, argv, "--metric")) opts.metric = v;

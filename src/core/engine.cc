@@ -13,8 +13,50 @@
 #include "index/bounds.h"
 #include "obs/metrics.h"
 #include "sim/kernel.h"
+#include "sim/metrics.h"
 
 namespace hera {
+
+StatusOr<ValueSimilarityPtr> ResolveMetric(const HeraOptions& options) {
+  HERA_RETURN_NOT_OK(ValidateOptions(options));
+  if (options.similarity) return options.similarity;
+  ValueSimilarityPtr simv = MakeSimilarity(options.metric);
+  if (!simv) {
+    return Status::InvalidArgument("unknown similarity metric: " +
+                                   options.metric);
+  }
+  return simv;
+}
+
+void AppendRecordValues(const SuperRecord& sr,
+                        std::vector<LabeledValue>* out) {
+  for (uint32_t f = 0; f < sr.num_fields(); ++f) {
+    for (uint32_t v = 0; v < sr.field(f).size(); ++v) {
+      out->push_back({ValueLabel{sr.rid(), f, v}, sr.field(f).value(v).value});
+    }
+  }
+}
+
+StatusOr<std::unique_ptr<persist::CheckpointManager>> RecoverCheckpoint(
+    const persist::CheckpointManager::Config& config,
+    ResolutionEngine* engine, bool arm_guard) {
+  HERA_ASSIGN_OR_RETURN(
+      persist::CheckpointManager::Recovered recovered,
+      persist::CheckpointManager::Recover(config, engine->trace()));
+  engine->RestoreState(recovered.state);
+  if (arm_guard) engine->ArmGuard();
+  for (const persist::WalEntry& entry : recovered.wal) {
+    HERA_RETURN_NOT_OK(engine->ReplayWalEntry(entry));
+  }
+  HERA_ASSIGN_OR_RETURN(
+      std::unique_ptr<persist::CheckpointManager> ckpt,
+      persist::CheckpointManager::Open(config, engine->trace()));
+  engine->SetCheckpointManager(ckpt.get());
+  // Re-snapshot the recovered state as a fresh epoch: recovery never
+  // appends after a (possibly torn) WAL tail.
+  HERA_RETURN_NOT_OK(ckpt->WriteSnapshot(engine->ExportState()));
+  return ckpt;
+}
 
 JoinSetup MakeJoinSetup(const HeraOptions& options,
                         const ValueSimilarity& simv) {
@@ -166,6 +208,14 @@ RunOutcome ResolutionEngine::TruncationOutcome() const {
                             : RunOutcome::kTruncatedDeadline;
 }
 
+void ResolutionEngine::NoteGuardTruncation(const char* event) {
+  RaiseOutcome(TruncationOutcome());
+  if (trace_) {
+    trace_->tracer().Event(event,
+                           guard_.Cancelled() ? "cancelled" : "deadline");
+  }
+}
+
 void ResolutionEngine::StopTimelineSampler() {
   if (sampler_ != nullptr) sampler_->Stop();
 }
@@ -204,11 +254,7 @@ void ResolutionEngine::NoteJoinReport(const JoinReport& report,
   }
   if (report.truncated) {
     stats_.join_truncated = true;
-    RaiseOutcome(TruncationOutcome());
-    if (trace_) {
-      trace_->tracer().Event("join.truncated",
-                             guard_.Cancelled() ? "cancelled" : "deadline");
-    }
+    NoteGuardTruncation("join.truncated");
   }
   if (report.shed_posting_entries > 0) {
     join_shed_posting_ += report.shed_posting_entries;
@@ -243,16 +289,6 @@ void ResolutionEngine::AddPairsGuarded(std::vector<ValuePair> pairs) {
                              index_.shed_posting_entries() - idx_posting_before);
     }
   }
-}
-
-std::vector<LabeledValue> ResolutionEngine::ValuesOf(const SuperRecord& sr) const {
-  std::vector<LabeledValue> values;
-  for (uint32_t f = 0; f < sr.num_fields(); ++f) {
-    for (uint32_t v = 0; v < sr.field(f).size(); ++v) {
-      values.push_back({ValueLabel{sr.rid(), f, v}, sr.field(f).value(v).value});
-    }
-  }
-  return values;
 }
 
 void ResolutionEngine::SyncKernelMetrics() {
@@ -291,12 +327,8 @@ StatusOr<size_t> ResolutionEngine::IndexNewRecords() {
     // Out of budget before the join even starts: leave the index as is
     // (records are marked indexed so a later round won't re-join them
     // against a half-processed watermark).
-    RaiseOutcome(TruncationOutcome());
     stats_.join_truncated = true;
-    if (trace_) {
-      trace_->tracer().Event("join.truncated",
-                             guard_.Cancelled() ? "cancelled" : "deadline");
-    }
+    NoteGuardTruncation("join.truncated");
     indexed_watermark_ = static_cast<uint32_t>(uf_.Size());
     stats_.index_size = index_.size();
     loop_needs_reset_ = true;
@@ -307,9 +339,7 @@ StatusOr<size_t> ResolutionEngine::IndexNewRecords() {
   }
   std::vector<LabeledValue> fresh, existing;
   for (const auto& [rid, sr] : active_) {
-    auto values = ValuesOf(sr);
-    auto* dest = rid >= indexed_watermark_ ? &fresh : &existing;
-    dest->insert(dest->end(), values.begin(), values.end());
+    AppendRecordValues(sr, rid >= indexed_watermark_ ? &fresh : &existing);
   }
   std::vector<ValuePair> joined;
   JoinReport report;
@@ -388,11 +418,7 @@ Status ResolutionEngine::IterateToFixpoint() {
     // deadline expiry / cancellation stops here and the caller gets
     // the current partial result.
     if (guard_.Interrupted()) {
-      RaiseOutcome(TruncationOutcome());
-      if (trace_) {
-        trace_->tracer().Event("truncated",
-                               guard_.Cancelled() ? "cancelled" : "deadline");
-      }
+      NoteGuardTruncation("truncated");
       truncated_break = true;
       break;
     }
@@ -421,10 +447,11 @@ Status ResolutionEngine::IterateToFixpoint() {
     // loop state is mid-mutation; a failure here forces a full rescan.
     loop_needs_reset_ = true;
     ++stats_.iterations;
-    const HeraStats pass_before = stats_;
-    const double simplified_sum_before = simplified_nodes_sum_;
-    const size_t simplified_count_before = simplified_nodes_count_;
-    persist::WalEntry wal_entry;
+    const size_t merges_before = stats_.merges;
+    // The pass's counter deltas accumulate in its WAL entry: the
+    // iteration row, the WAL append and stats_ all read them from here.
+    persist::WalEntry pass;
+    pass.iteration = stats_.iterations;
     Timer pass_timer;
     auto pass_span = obs::StartSpan(trace_.get(), "iteration");
     if (trace_) {
@@ -464,7 +491,7 @@ Status ResolutionEngine::IterateToFixpoint() {
     const size_t cap = guard_.max_candidates_per_iteration();
     if (cap > 0 && groups.size() > cap) {
       loop_deferred_.assign(groups.begin() + cap, groups.end());
-      stats_.deferred_candidate_groups += loop_deferred_.size();
+      pass.deferred_groups = loop_deferred_.size();
       if (trace_) {
         trace_->tracer().Event("defer.candidates", "ceiling",
                                loop_deferred_.size());
@@ -519,16 +546,7 @@ Status ResolutionEngine::IterateToFixpoint() {
                   if (upper[a] != upper[b]) return upper[a] > upper[b];
                   return a < b;  // Canonical order breaks ties.
                 });
-      // A frontier capacity bounds the reordering: only the top-C
-      // groups jump the queue; the tail reverts to canonical order
-      // behind them.
-      if (options_.frontier_capacity > 0 &&
-          verify_list.size() > options_.frontier_capacity) {
-        std::sort(verify_list.begin() +
-                      static_cast<std::ptrdiff_t>(options_.frontier_capacity),
-                  verify_list.end());
-      }
-      stats_.frontier_groups += verify_list.size();
+      pass.frontier_groups = verify_list.size();
       if (c_frontier_groups_ != nullptr) {
         c_frontier_groups_->Inc(verify_list.size());
       }
@@ -568,34 +586,30 @@ Status ResolutionEngine::IterateToFixpoint() {
       const BoundResult bounds =
           ComputeBounds(pairs, it_i->second.num_fields(),
                         it_j->second.num_fields(), options_.tight_bounds);
-      std::vector<FieldMatch> matching;
-      // Predictions recorded by this group, captured for the WAL so
-      // replay can re-vote them without re-verifying. Predictions are
-      // only ever recorded on paths that end in a merge, so logging
-      // them per merge loses nothing.
-      std::vector<std::pair<AttrRef, AttrRef>> wal_preds;
       if (bounds.upper < options_.delta) {
-        ++stats_.pruned_by_bound;
+        ++pass.pruned;
         continue;
       }
+      // The merge this group would make, with the predictions it
+      // records. Predictions are only ever recorded on paths that end
+      // in a merge, so the merge step records them.
+      persist::WalMerge merge;
+      merge.i = i;
+      merge.j = j;
       if (bounds.upper == bounds.lower) {
         // Exact: similarity known without verification (the R' set).
-        if (bounds.upper < options_.delta) continue;
-        ++stats_.direct_merges;
-        matching.reserve(bounds.refined.size());
+        ++pass.direct;
+        merge.matching.reserve(bounds.refined.size());
         for (const IndexedPair& p : bounds.refined) {
-          matching.push_back({p.a.fid, p.b.fid, p.sim});
+          merge.matching.push_back({p.a.fid, p.b.fid, p.sim});
           if (options_.enable_schema_voting) {
             // R' matchings are exact field matchings (Definition 4) and
             // carry the same — in fact stronger — evidence as verified
             // candidates, so they vote too. (Extension of Algorithm 2,
             // which only feeds verified candidates into the vote.)
-            const AttrRef& origin_a =
-                it_i->second.field(p.a.fid).value(p.a.vid).origin;
-            const AttrRef& origin_b =
-                it_j->second.field(p.b.fid).value(p.b.vid).origin;
-            predictor_.AddPrediction(origin_a, origin_b);
-            if (ckpt_ != nullptr) wal_preds.emplace_back(origin_a, origin_b);
+            merge.predictions.emplace_back(
+                it_i->second.field(p.a.fid).value(p.a.vid).origin,
+                it_j->second.field(p.b.fid).value(p.b.vid).origin);
           }
         }
       } else {
@@ -609,7 +623,7 @@ Status ResolutionEngine::IterateToFixpoint() {
         const bool budget_out = BudgetExhausted();
         if (budget_out || (frontier_active && guard_.Interrupted())) {
           loop_deferred_.push_back(groups[gk]);
-          ++stats_.budget_deferred_groups;
+          ++pass.budget_deferred;
           if (c_frontier_deferred_ != nullptr) c_frontier_deferred_->Inc();
           if (cut_reason == nullptr) {
             cut_is_budget = budget_out;
@@ -622,9 +636,11 @@ Status ResolutionEngine::IterateToFixpoint() {
           continue;
         }
         HERA_FAILPOINT("verify.km");
-        ++stats_.candidates;
-        ++stats_.comparisons;
+        ++pass.candidates;
+        ++pass.comparisons;
         ++budget_spent_;
+        // The sampler reads these mirrors while the pass runs, so they
+        // tick here rather than when the pass's counters are folded.
         if (c_verified_groups_ != nullptr) c_verified_groups_->Inc();
         if (options_.progressive && c_frontier_verified_ != nullptr) {
           c_frontier_verified_->Inc();
@@ -644,79 +660,45 @@ Status ResolutionEngine::IterateToFixpoint() {
           vr = verifier.Verify(it_i->second, it_j->second, pairs);
         }
         if (vr.simplified_nodes > 0) {
-          simplified_nodes_sum_ += static_cast<double>(vr.simplified_nodes);
-          ++simplified_nodes_count_;
+          pass.simplified_sum += static_cast<double>(vr.simplified_nodes);
+          ++pass.simplified_count;
         }
         if (vr.sim < options_.delta) continue;
-        matching = std::move(vr.matching);
+        merge.matching = std::move(vr.matching);
         if (options_.enable_schema_voting) {
-          for (const auto& [attr_a, attr_b] : vr.predictions) {
-            predictor_.AddPrediction(attr_a, attr_b);
-          }
-          if (ckpt_ != nullptr) wal_preds = std::move(vr.predictions);
+          merge.predictions = std::move(vr.predictions);
         }
       }
 
-      // Merge (Section III-B2): the smaller rid survives. The
-      // failpoint sits before the first mutation, so an injected
-      // failure leaves the engine fully consistent.
+      // Merge (Section III-B2). The failpoint sits before the first
+      // mutation, so an injected failure leaves the engine fully
+      // consistent; it lives here and not in the merge step, so WAL
+      // replay can never trip it again.
       HERA_FAILPOINT("engine.merge");
-      if (ckpt_ != nullptr) {
-        persist::WalMerge wm;
-        wm.i = i;
-        wm.j = j;
-        wm.matching = matching;
-        wm.predictions = std::move(wal_preds);
-        wal_entry.merges.push_back(std::move(wm));
-      }
-      uint32_t new_rid = uf_.Union(i, j);
-      assert(new_rid == i);
-      std::vector<std::pair<ValueLabel, ValueLabel>> remap;
-      SuperRecord merged = SuperRecord::Merge(it_i->second, it_j->second,
-                                              matching, new_rid, &remap);
-      index_.ApplyMerge(i, j, new_rid, remap);
-      active_.erase(j);
-      active_[new_rid] = std::move(merged);
+      HERA_RETURN_NOT_OK(ApplyPassMerge(merge));
       merged_this_pass[i] = merged_this_pass[j] = true;
-      loop_dirty_.insert(new_rid);
-      ++stats_.merges;
-      if (c_merges_ != nullptr) c_merges_->Inc();
-      stats_.merge_sequence.emplace_back(i, j);
+      if (ckpt_ != nullptr) pass.merges.push_back(std::move(merge));
     }
 
     pass_span.End();
+    AddPassCounters(pass);
     if (trace_) {
       obs::RunTrace::IterationRow row;
       row.iteration = stats_.iterations;
       row.groups = groups.size();
-      row.pruned = stats_.pruned_by_bound - pass_before.pruned_by_bound;
-      row.direct = stats_.direct_merges - pass_before.direct_merges;
-      row.verified = stats_.candidates - pass_before.candidates;
-      row.merges = stats_.merges - pass_before.merges;
-      row.deferred =
-          stats_.deferred_candidate_groups - pass_before.deferred_candidate_groups;
+      row.pruned = pass.pruned;
+      row.direct = pass.direct;
+      row.verified = pass.candidates;
+      row.merges = stats_.merges - merges_before;
+      row.deferred = pass.deferred_groups;
       row.ms = pass_timer.ElapsedMillis();
       row.t_ms = trace_->NowMs();
       trace_->AddIteration(row);
       h_iteration_us_->Observe(row.ms * 1000.0);
     }
     if (ckpt_ != nullptr) {
-      wal_entry.iteration = stats_.iterations;
-      wal_entry.pruned = stats_.pruned_by_bound - pass_before.pruned_by_bound;
-      wal_entry.direct = stats_.direct_merges - pass_before.direct_merges;
-      wal_entry.candidates = stats_.candidates - pass_before.candidates;
-      wal_entry.comparisons = stats_.comparisons - pass_before.comparisons;
-      wal_entry.deferred_groups = stats_.deferred_candidate_groups -
-                                  pass_before.deferred_candidate_groups;
-      wal_entry.simplified_sum = simplified_nodes_sum_ - simplified_sum_before;
-      wal_entry.simplified_count =
-          simplified_nodes_count_ - simplified_count_before;
-      wal_entry.frontier_groups =
-          stats_.frontier_groups - pass_before.frontier_groups;
-      wal_entry.budget_deferred =
-          stats_.budget_deferred_groups - pass_before.budget_deferred_groups;
-      wal_entry.deferred_after = loop_deferred_;
-      HERA_RETURN_NOT_OK(ckpt_->AppendWal(std::move(wal_entry)));
+      pass.deferred_after = loop_deferred_;
+      HERA_RETURN_NOT_OK(ckpt_->AppendWal(std::move(pass)));
     }
     // Pass (and its WAL record) complete: the loop state is a valid
     // iteration boundary again.
@@ -752,12 +734,6 @@ Status ResolutionEngine::IterateToFixpoint() {
     if (seen > probes->value()) probes->Inc(seen - probes->value());
     SyncKernelMetrics();
   }
-
-  stats_.avg_simplified_nodes =
-      simplified_nodes_count_ == 0
-          ? 0.0
-          : simplified_nodes_sum_ / static_cast<double>(simplified_nodes_count_);
-  stats_.decided_schema_matchings = predictor_.DecidedMatchings().size();
 
   // Final snapshot: every exit (fixpoint, cap, guard truncation) leaves
   // the directory resumable from exactly this state. Stop (not Lap) the
@@ -845,6 +821,54 @@ void ResolutionEngine::RestoreState(const persist::EngineState& state) {
   loop_needs_reset_ = false;
 }
 
+Status ResolutionEngine::ApplyPassMerge(const persist::WalMerge& m) {
+  auto it_i = active_.find(m.i);
+  auto it_j = active_.find(m.j);
+  if (it_i == active_.end() || it_j == active_.end()) {
+    return Status::Internal("merge of " + std::to_string(m.i) + " and " +
+                            std::to_string(m.j) +
+                            " references a dead record; WAL state mismatch");
+  }
+  // The smaller rid survives.
+  const uint32_t new_rid = uf_.Union(m.i, m.j);
+  if (new_rid != m.i) {
+    return Status::Internal("union of " + std::to_string(m.i) + " and " +
+                            std::to_string(m.j) + " kept rid " +
+                            std::to_string(new_rid) + "; WAL state mismatch");
+  }
+  std::vector<std::pair<ValueLabel, ValueLabel>> remap;
+  SuperRecord merged = SuperRecord::Merge(it_i->second, it_j->second,
+                                          m.matching, new_rid, &remap);
+  index_.ApplyMerge(m.i, m.j, new_rid, remap);
+  active_.erase(it_j);
+  it_i->second = std::move(merged);
+  for (const auto& [attr_a, attr_b] : m.predictions) {
+    predictor_.AddPrediction(attr_a, attr_b);
+  }
+  loop_dirty_.insert(new_rid);
+  ++stats_.merges;
+  if (c_merges_ != nullptr) c_merges_->Inc();
+  stats_.merge_sequence.emplace_back(m.i, m.j);
+  return Status::OK();
+}
+
+void ResolutionEngine::AddPassCounters(const persist::WalEntry& pass) {
+  stats_.pruned_by_bound += static_cast<size_t>(pass.pruned);
+  stats_.direct_merges += static_cast<size_t>(pass.direct);
+  stats_.candidates += static_cast<size_t>(pass.candidates);
+  stats_.comparisons += static_cast<size_t>(pass.comparisons);
+  stats_.deferred_candidate_groups += static_cast<size_t>(pass.deferred_groups);
+  stats_.frontier_groups += static_cast<size_t>(pass.frontier_groups);
+  stats_.budget_deferred_groups += static_cast<size_t>(pass.budget_deferred);
+  simplified_nodes_sum_ += pass.simplified_sum;
+  simplified_nodes_count_ += static_cast<size_t>(pass.simplified_count);
+  stats_.avg_simplified_nodes =
+      simplified_nodes_count_ == 0
+          ? 0.0
+          : simplified_nodes_sum_ / static_cast<double>(simplified_nodes_count_);
+  stats_.decided_schema_matchings = predictor_.DecidedMatchings().size();
+}
+
 Status ResolutionEngine::ReplayWalEntry(const persist::WalEntry& entry) {
   if (entry.iteration != stats_.iterations + 1) {
     return Status::Internal(
@@ -856,40 +880,12 @@ Status ResolutionEngine::ReplayWalEntry(const persist::WalEntry& entry) {
   loop_first_pass_ = false;
   loop_dirty_.clear();
   for (const persist::WalMerge& m : entry.merges) {
-    auto it_i = active_.find(m.i);
-    auto it_j = active_.find(m.j);
-    if (it_i == active_.end() || it_j == active_.end()) {
-      return Status::Internal("WAL replay: merge of " + std::to_string(m.i) +
-                              " and " + std::to_string(m.j) +
-                              " references a dead record; state mismatch");
-    }
-    uint32_t new_rid = uf_.Union(m.i, m.j);
-    if (new_rid != m.i) {
-      return Status::Internal("WAL replay: union of " + std::to_string(m.i) +
-                              " and " + std::to_string(m.j) +
-                              " kept rid " + std::to_string(new_rid) +
-                              "; state mismatch");
-    }
-    std::vector<std::pair<ValueLabel, ValueLabel>> remap;
-    SuperRecord merged = SuperRecord::Merge(it_i->second, it_j->second,
-                                            m.matching, new_rid, &remap);
-    index_.ApplyMerge(m.i, m.j, new_rid, remap);
-    active_.erase(m.j);
-    active_[new_rid] = std::move(merged);
-    for (const auto& [attr_a, attr_b] : m.predictions) {
-      predictor_.AddPrediction(attr_a, attr_b);
-    }
-    loop_dirty_.insert(new_rid);
-    ++stats_.merges;
-    if (c_merges_ != nullptr) c_merges_->Inc();
-    stats_.merge_sequence.emplace_back(m.i, m.j);
+    HERA_RETURN_NOT_OK(ApplyPassMerge(m));
   }
-  stats_.pruned_by_bound += static_cast<size_t>(entry.pruned);
-  stats_.direct_merges += static_cast<size_t>(entry.direct);
-  stats_.candidates += static_cast<size_t>(entry.candidates);
+  AddPassCounters(entry);
+  // The live pass ticks the sampler's atomic mirrors as it goes; replay
+  // adds the whole pass at once.
   if (c_verified_groups_ != nullptr) c_verified_groups_->Inc(entry.candidates);
-  stats_.frontier_groups += static_cast<size_t>(entry.frontier_groups);
-  stats_.budget_deferred_groups += static_cast<size_t>(entry.budget_deferred);
   if (c_frontier_groups_ != nullptr) {
     c_frontier_groups_->Inc(entry.frontier_groups);
   }
@@ -899,16 +895,6 @@ Status ResolutionEngine::ReplayWalEntry(const persist::WalEntry& entry) {
   if (options_.progressive && c_frontier_verified_ != nullptr) {
     c_frontier_verified_->Inc(entry.candidates);
   }
-  stats_.comparisons += static_cast<size_t>(entry.comparisons);
-  stats_.deferred_candidate_groups +=
-      static_cast<size_t>(entry.deferred_groups);
-  simplified_nodes_sum_ += entry.simplified_sum;
-  simplified_nodes_count_ += static_cast<size_t>(entry.simplified_count);
-  stats_.avg_simplified_nodes =
-      simplified_nodes_count_ == 0
-          ? 0.0
-          : simplified_nodes_sum_ / static_cast<double>(simplified_nodes_count_);
-  stats_.decided_schema_matchings = predictor_.DecidedMatchings().size();
   loop_deferred_ = entry.deferred_after;
   loop_needs_reset_ = false;
   return Status::OK();

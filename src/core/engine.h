@@ -38,6 +38,16 @@
 
 namespace hera {
 
+/// Validates `options` and resolves its metric: options.similarity when
+/// set, else the built-in metric options.metric names (InvalidArgument
+/// when it names none). Hera and IncrementalHera both start here.
+StatusOr<ValueSimilarityPtr> ResolveMetric(const HeraOptions& options);
+
+/// Appends every (label, value) pair of `sr`, field by field, to `out`:
+/// the join input of one record.
+void AppendRecordValues(const SuperRecord& sr,
+                        std::vector<LabeledValue>* out);
+
 /// The similarity join a run with `options` uses, with the pool it runs
 /// on. ResolutionEngine and ComputeSimilarValuePairs both build their
 /// joiner with MakeJoinSetup.
@@ -144,21 +154,36 @@ class ResolutionEngine {
   /// (the checkpoint layer enforces this).
   void RestoreState(const persist::EngineState& state);
 
-  /// Re-applies one logged pass on top of the restored state — merges,
-  /// votes, and counters exactly as the original pass, with no
+  /// Re-applies one logged pass on top of the restored state, through
+  /// the same merge step and counter ledger the live pass uses, with no
   /// re-verification (so consumed failpoints cannot re-trip). Entries
   /// must be replayed in sequence order.
   Status ReplayWalEntry(const persist::WalEntry& entry);
 
  private:
-  /// All (label, value) pairs of one super record.
-  std::vector<LabeledValue> ValuesOf(const SuperRecord& sr) const;
+  /// The merge step of a pass, shared by the live pass and WAL replay:
+  /// absorbs m.j into m.i (the smaller rid survives) under m.matching,
+  /// maintains the index, records m.predictions in the vote, marks the
+  /// survivor dirty, and appends the merge to stats_. Fails only when
+  /// `m` does not fit the engine state, which a logged merge replayed
+  /// onto the wrong snapshot would cause.
+  Status ApplyPassMerge(const persist::WalMerge& m);
+
+  /// The counter ledger: adds a completed pass's counter deltas (the
+  /// WAL entry's statistic fields) to stats_ and refreshes the derived
+  /// averages. The atomic mirrors are not touched: the live pass ticks
+  /// them as it goes and WAL replay adds them itself.
+  void AddPassCounters(const persist::WalEntry& pass);
 
   /// Keeps the most severe outcome seen this run.
   void RaiseOutcome(RunOutcome outcome);
 
   /// kTruncatedCancelled or kTruncatedDeadline per the guard's state.
   RunOutcome TruncationOutcome() const;
+
+  /// Raises TruncationOutcome() and traces `event` with its cause
+  /// ("cancelled" or "deadline").
+  void NoteGuardTruncation(const char* event);
 
   /// Folds a guarded-join report into stats/outcome. `join_start_ms`
   /// is the tracer time at which the join call began; the report's
@@ -243,8 +268,8 @@ class ResolutionEngine {
   obs::Histogram* h_iteration_us_ = nullptr;   ///< Per-pass duration.
   obs::Histogram* h_worker_busy_us_ = nullptr; ///< Per-worker busy time.
   /// Atomic mirrors of stats_ fields the sampler thread may not read
-  /// directly (stats_ is controller-thread-only). Incremented at the
-  /// same sites as their stats_ counterparts, including WAL replay.
+  /// directly (stats_ is controller-thread-only). The live pass ticks
+  /// them as it goes; WAL replay adds them through AddPassCounters.
   obs::Counter* c_merges_ = nullptr;
   obs::Counter* c_verified_groups_ = nullptr;
   /// Progressive-mode quality family (quality.frontier_*): groups that
@@ -264,6 +289,21 @@ class ResolutionEngine {
   /// trace_ and the caches, so it must be destroyed first.
   std::unique_ptr<obs::TimelineSampler> sampler_;
 };
+
+/// The recovery path of Hera::Resume and IncrementalHera::Restore:
+/// restores `engine` from the newest intact snapshot under `config`,
+/// replays that epoch's WAL, then opens the directory for writing,
+/// installs the manager on the engine and snapshots the recovered state
+/// as a fresh epoch (recovery never appends after a possibly torn WAL
+/// tail). With `arm_guard`, the engine's guard is armed right after the
+/// snapshot is restored, so replay and the fresh-epoch snapshot count
+/// against the resumed run's deadline; without it, arming is left to
+/// the caller's next round. The caller keeps the returned manager alive
+/// as long as the engine. NotFound, untouched, when the directory holds
+/// no snapshot.
+StatusOr<std::unique_ptr<persist::CheckpointManager>> RecoverCheckpoint(
+    const persist::CheckpointManager::Config& config, ResolutionEngine* engine,
+    bool arm_guard);
 
 }  // namespace hera
 

@@ -2,26 +2,10 @@
 
 #include "core/engine.h"
 #include "persist/checkpoint.h"
-#include "sim/metrics.h"
 
 namespace hera {
 
 namespace {
-
-/// Validates options and resolves the configured metric; shared with
-/// IncrementalHera.
-StatusOr<ValueSimilarityPtr> ResolveMetric(const HeraOptions& options) {
-  HERA_RETURN_NOT_OK(ValidateOptions(options));
-  ValueSimilarityPtr simv = options.similarity;
-  if (!simv) {
-    simv = MakeSimilarity(options.metric);
-    if (!simv) {
-      return Status::InvalidArgument("unknown similarity metric: " +
-                                     options.metric);
-    }
-  }
-  return simv;
-}
 
 /// Fills `result` from the finished engine (labels, stats, super
 /// records, and — when collection was on — the run report).
@@ -52,23 +36,29 @@ persist::CheckpointManager::Config BatchCheckpointConfig(
   return config;
 }
 
-}  // namespace
-
-StatusOr<HeraResult> Hera::Run(const Dataset& dataset) const {
+/// Run and RunWithPairs: a fresh batch run over `dataset` that indexes
+/// `pairs` when given and runs the join otherwise.
+StatusOr<HeraResult> RunBatch(const HeraOptions& options,
+                              const Dataset& dataset,
+                              const std::vector<ValuePair>* pairs) {
   HERA_RETURN_NOT_OK(dataset.Validate());
-  HERA_ASSIGN_OR_RETURN(ValueSimilarityPtr simv, ResolveMetric(options_));
+  HERA_ASSIGN_OR_RETURN(ValueSimilarityPtr simv, ResolveMetric(options));
 
-  ResolutionEngine engine(options_, std::move(simv));
+  ResolutionEngine engine(options, std::move(simv));
   std::unique_ptr<persist::CheckpointManager> ckpt;
-  if (!options_.checkpoint_dir.empty()) {
+  if (!options.checkpoint_dir.empty()) {
     HERA_ASSIGN_OR_RETURN(
         ckpt, persist::CheckpointManager::Open(
-                  BatchCheckpointConfig(options_, dataset), engine.trace()));
+                  BatchCheckpointConfig(options, dataset), engine.trace()));
     engine.SetCheckpointManager(ckpt.get());
   }
   engine.AddRecords(dataset.records());
   engine.ArmGuard();
-  HERA_RETURN_NOT_OK(engine.IndexNewRecords().status());
+  if (pairs != nullptr) {
+    HERA_RETURN_NOT_OK(engine.IndexPrecomputed(*pairs));
+  } else {
+    HERA_RETURN_NOT_OK(engine.IndexNewRecords().status());
+  }
   HERA_RETURN_NOT_OK(engine.IterateToFixpoint());
 
   HeraResult result;
@@ -76,27 +66,15 @@ StatusOr<HeraResult> Hera::Run(const Dataset& dataset) const {
   return result;
 }
 
+}  // namespace
+
+StatusOr<HeraResult> Hera::Run(const Dataset& dataset) const {
+  return RunBatch(options_, dataset, nullptr);
+}
+
 StatusOr<HeraResult> Hera::RunWithPairs(
     const Dataset& dataset, const std::vector<ValuePair>& pairs) const {
-  HERA_RETURN_NOT_OK(dataset.Validate());
-  HERA_ASSIGN_OR_RETURN(ValueSimilarityPtr simv, ResolveMetric(options_));
-
-  ResolutionEngine engine(options_, std::move(simv));
-  std::unique_ptr<persist::CheckpointManager> ckpt;
-  if (!options_.checkpoint_dir.empty()) {
-    HERA_ASSIGN_OR_RETURN(
-        ckpt, persist::CheckpointManager::Open(
-                  BatchCheckpointConfig(options_, dataset), engine.trace()));
-    engine.SetCheckpointManager(ckpt.get());
-  }
-  engine.AddRecords(dataset.records());
-  engine.ArmGuard();
-  HERA_RETURN_NOT_OK(engine.IndexPrecomputed(pairs));
-  HERA_RETURN_NOT_OK(engine.IterateToFixpoint());
-
-  HeraResult result;
-  FinishResult(&engine, &result);
-  return result;
+  return RunBatch(options_, dataset, &pairs);
 }
 
 StatusOr<HeraResult> Hera::Resume(const Dataset& dataset) const {
@@ -106,27 +84,12 @@ StatusOr<HeraResult> Hera::Resume(const Dataset& dataset) const {
     return Status::InvalidArgument(
         "Resume requires options.checkpoint_dir to be set");
   }
-  const persist::CheckpointManager::Config config =
-      BatchCheckpointConfig(options_, dataset);
-
   ResolutionEngine engine(options_, std::move(simv));
-  // Recover before opening for write: NotFound must reach the caller
-  // untouched so it can fall back to a fresh Run.
+  // NotFound reaches the caller untouched so it can fall back to Run.
   HERA_ASSIGN_OR_RETURN(
-      persist::CheckpointManager::Recovered recovered,
-      persist::CheckpointManager::Recover(config, engine.trace()));
-  engine.RestoreState(recovered.state);
-  engine.ArmGuard();
-  for (const persist::WalEntry& entry : recovered.wal) {
-    HERA_RETURN_NOT_OK(engine.ReplayWalEntry(entry));
-  }
-
-  HERA_ASSIGN_OR_RETURN(std::unique_ptr<persist::CheckpointManager> ckpt,
-                        persist::CheckpointManager::Open(config, engine.trace()));
-  engine.SetCheckpointManager(ckpt.get());
-  // Re-snapshot the recovered state as a fresh epoch: recovery never
-  // appends after a (possibly torn) WAL tail.
-  HERA_RETURN_NOT_OK(ckpt->WriteSnapshot(engine.ExportState()));
+      std::unique_ptr<persist::CheckpointManager> ckpt,
+      RecoverCheckpoint(BatchCheckpointConfig(options_, dataset), &engine,
+                        /*arm_guard=*/true));
   HERA_RETURN_NOT_OK(engine.IterateToFixpoint());
 
   HeraResult result;
@@ -140,13 +103,7 @@ StatusOr<std::vector<ValuePair>> ComputeSimilarValuePairs(
   HERA_ASSIGN_OR_RETURN(ValueSimilarityPtr simv, ResolveMetric(options));
   std::vector<LabeledValue> values;
   for (const Record& r : dataset.records()) {
-    SuperRecord sr = SuperRecord::FromRecord(r);
-    for (uint32_t f = 0; f < sr.num_fields(); ++f) {
-      for (uint32_t v = 0; v < sr.field(f).size(); ++v) {
-        values.push_back(
-            {ValueLabel{sr.rid(), f, v}, sr.field(f).value(v).value});
-      }
-    }
+    AppendRecordValues(SuperRecord::FromRecord(r), &values);
   }
   JoinSetup join = MakeJoinSetup(options, *simv);
   std::vector<ValuePair> pairs;

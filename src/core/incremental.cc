@@ -1,7 +1,5 @@
 #include "core/incremental.h"
 
-#include "sim/metrics.h"
-
 namespace hera {
 
 namespace {
@@ -31,15 +29,7 @@ IncrementalHera::IncrementalHera(const HeraOptions& options,
 
 StatusOr<std::unique_ptr<IncrementalHera>> IncrementalHera::Create(
     const HeraOptions& options, SchemaCatalog schemas) {
-  HERA_RETURN_NOT_OK(ValidateOptions(options));
-  ValueSimilarityPtr simv = options.similarity;
-  if (!simv) {
-    simv = MakeSimilarity(options.metric);
-    if (!simv) {
-      return Status::InvalidArgument("unknown similarity metric: " +
-                                     options.metric);
-    }
-  }
+  HERA_ASSIGN_OR_RETURN(ValueSimilarityPtr simv, ResolveMetric(options));
   std::unique_ptr<IncrementalHera> inc(
       new IncrementalHera(options, std::move(schemas), std::move(simv)));
   if (!options.checkpoint_dir.empty()) {
@@ -54,38 +44,18 @@ StatusOr<std::unique_ptr<IncrementalHera>> IncrementalHera::Create(
 
 StatusOr<std::unique_ptr<IncrementalHera>> IncrementalHera::Restore(
     const HeraOptions& options, SchemaCatalog schemas) {
-  HERA_RETURN_NOT_OK(ValidateOptions(options));
+  HERA_ASSIGN_OR_RETURN(ValueSimilarityPtr simv, ResolveMetric(options));
   if (options.checkpoint_dir.empty()) {
     return Status::InvalidArgument(
         "Restore requires options.checkpoint_dir to be set");
   }
-  ValueSimilarityPtr simv = options.similarity;
-  if (!simv) {
-    simv = MakeSimilarity(options.metric);
-    if (!simv) {
-      return Status::InvalidArgument("unknown similarity metric: " +
-                                     options.metric);
-    }
-  }
   std::unique_ptr<IncrementalHera> inc(
       new IncrementalHera(options, std::move(schemas), std::move(simv)));
-  const persist::CheckpointManager::Config config =
-      IncrementalCheckpointConfig(options, inc->schemas_);
   HERA_ASSIGN_OR_RETURN(
-      persist::CheckpointManager::Recovered recovered,
-      persist::CheckpointManager::Recover(config, inc->engine_->trace()));
-  inc->engine_->RestoreState(recovered.state);
-  for (const persist::WalEntry& entry : recovered.wal) {
-    HERA_RETURN_NOT_OK(inc->engine_->ReplayWalEntry(entry));
-  }
+      inc->ckpt_,
+      RecoverCheckpoint(IncrementalCheckpointConfig(options, inc->schemas_),
+                        inc->engine_.get(), /*arm_guard=*/false));
   inc->next_id_ = static_cast<uint32_t>(inc->engine_->NumRecords());
-  HERA_ASSIGN_OR_RETURN(inc->ckpt_,
-                        persist::CheckpointManager::Open(
-                            config, inc->engine_->trace()));
-  inc->engine_->SetCheckpointManager(inc->ckpt_.get());
-  // Re-snapshot the recovered state as a fresh epoch: recovery never
-  // appends after a (possibly torn) WAL tail.
-  HERA_RETURN_NOT_OK(inc->ckpt_->WriteSnapshot(inc->engine_->ExportState()));
   inc->restored_ = true;
   return inc;
 }

@@ -146,13 +146,6 @@ struct HeraOptions {
   /// thread count. See docs/operational_limits.md
   /// ("Progressive mode").
   bool progressive = false;
-
-  /// Ceiling on the best-first frontier per pass (0 = unbounded):
-  /// only the `frontier_capacity` highest-upper-bound groups are
-  /// reordered ahead; the rest keep canonical order behind them. Caps
-  /// the O(V log V) ordering cost on huge passes; with a budget far
-  /// below capacity, quality is unchanged.
-  size_t frontier_capacity = 0;
 };
 
 /// Checks option ranges: xi, delta in [0, 1]; vote_prior_p in

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace hera {
@@ -35,12 +34,9 @@ BoundResult ComputeBounds(const std::vector<IndexedPair>& pairs,
   // optimum and the smaller of the two is used.
   double up_left = 0.0, up_right = 0.0;
   std::unordered_set<uint32_t> seen_left, seen_right;
-  std::unordered_map<uint32_t, int> cover_left, cover_right;
   for (const IndexedPair& p : result.refined) {
     if (seen_left.insert(p.a.fid).second) up_left += p.sim;
     if (seen_right.insert(p.b.fid).second) up_right += p.sim;
-    ++cover_left[p.a.fid];
-    ++cover_right[p.b.fid];
   }
   result.upper = (tight ? std::min(up_left, up_right) : up_left) / denom;
 
@@ -55,27 +51,6 @@ BoundResult ComputeBounds(const std::vector<IndexedPair>& pairs,
     greedy += p.sim;
   }
   result.lower = greedy / denom;
-
-  // ---- Exactness: no multiple field on either side.
-  result.exact = true;
-  for (const auto& [fid, cnt] : cover_left) {
-    (void)fid;
-    if (cnt > 1) {
-      result.exact = false;
-      break;
-    }
-  }
-  if (result.exact) {
-    for (const auto& [fid, cnt] : cover_right) {
-      (void)fid;
-      if (cnt > 1) {
-        result.exact = false;
-        break;
-      }
-    }
-  }
-  // With no multiple field, V' is one-to-one, so greedy == upper.
-  assert(!result.exact || result.upper == result.lower);
   return result;
 }
 

@@ -18,8 +18,11 @@
 //      Low <= Sim <= Up holds unconditionally.)
 //
 // When no field is covered by more than one pair in V' (no "multiple
-// field"), V' is itself the optimal matching and Up == Low == Sim: the
-// pair can be resolved without running Kuhn–Munkres.
+// field"), V' is itself the optimal matching and Up == Low == Sim.
+// Callers test `upper == lower`, which pins Sim exactly whether or not
+// a multiple field exists; but V' is a one-to-one matching only when
+// no field is covered twice (see the CHANGES.md FOUND note on the
+// engine's direct-merge branch).
 
 #ifndef HERA_INDEX_BOUNDS_H_
 #define HERA_INDEX_BOUNDS_H_
@@ -37,9 +40,6 @@ struct BoundResult {
   /// V'_ij: one entry per similar field pair, carrying the field
   /// similarity; input order (descending similarity) is preserved.
   std::vector<IndexedPair> refined;
-  /// True when no multiple field exists: upper == lower == Sim(R_i,R_j)
-  /// and the matching is exactly `refined`.
-  bool exact = false;
 };
 
 /// \brief Computes Up/Low (Eq. 3–4) from the index pairs of one record

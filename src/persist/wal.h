@@ -4,11 +4,11 @@
 // the merges the pass applied — each with its field matching and the
 // schema-matching predictions it recorded — plus the pass's statistic
 // deltas and the deferred-group list left for the next pass. Replaying
-// an entry re-applies exactly what the pass did, without re-running
-// verification: SuperRecord::Merge and ValuePairIndex::ApplyMerge are
-// deterministic given the logged matching, so snapshot + replay
-// reconstructs the engine byte-for-byte (same merge_sequence, same
-// clusters, same counters).
+// an entry runs the engine's own merge step and counter ledger on it,
+// without re-running verification: SuperRecord::Merge and
+// ValuePairIndex::ApplyMerge are deterministic given the logged
+// matching, so snapshot + replay reconstructs the engine byte-for-byte
+// (same merge_sequence, same clusters, same counters).
 //
 // On disk a WAL file is a sequence of CRC-framed blocks (codec.h), one
 // entry per block, stamped with (epoch, seq). A torn tail — the block

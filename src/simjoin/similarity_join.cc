@@ -531,12 +531,32 @@ Status NestedLoopJoin::Join(const std::vector<LabeledValue>& values,
                             const ValueSimilarity& simv, double xi,
                             const RunGuard& guard, std::vector<ValuePair>* out,
                             JoinReport* report) const {
+  return Scan(nullptr, values, simv, xi, guard, out, report);
+}
+
+Status NestedLoopJoin::JoinAB(const std::vector<LabeledValue>& probe,
+                              const std::vector<LabeledValue>& base,
+                              const ValueSimilarity& simv, double xi,
+                              const RunGuard& guard,
+                              std::vector<ValuePair>* out,
+                              JoinReport* report) const {
+  return Scan(&probe, base, simv, xi, guard, out, report);
+}
+
+Status NestedLoopJoin::Scan(const std::vector<LabeledValue>* probe,
+                            const std::vector<LabeledValue>& base,
+                            const ValueSimilarity& simv, double xi,
+                            const RunGuard& guard, std::vector<ValuePair>* out,
+                            JoinReport* report) const {
   HERA_FAILPOINT("simjoin.join");
   out->clear();
+  // The self-join pairs each value with the ones after it; JoinAB pairs
+  // each probe with every base value.
+  const std::vector<LabeledValue>& outer = probe != nullptr ? *probe : base;
   ThreadPool* pool = executor();
   const bool rec = collect_worker_spans() && report != nullptr &&
                    pool != nullptr && pool->size() > 1;
-  const size_t n = values.size();
+  const size_t n = outer.size();
   const size_t grain = DefaultGrain(n, pool ? pool->size() : 1);
   std::vector<ChunkOut> chunks(NumChunks(n, grain));
   std::atomic<bool> stop{false};
@@ -547,61 +567,18 @@ Status NestedLoopJoin::Join(const std::vector<LabeledValue>& values,
         GuardTicker ticker(guard);
         for (size_t i = begin;
              i < end && !stop.load(std::memory_order_relaxed); ++i) {
-          for (size_t j = i + 1; j < n; ++j) {
+          const LabeledValue& a = outer[i];
+          for (size_t j = probe != nullptr ? 0 : i + 1; j < base.size(); ++j) {
             if (ticker.Tick()) {
               stop.store(true, std::memory_order_relaxed);
               break;
             }
-            if (values[i].label.rid == values[j].label.rid) continue;
+            const LabeledValue& b = base[j];
+            if (a.label.rid == b.label.rid) continue;
             ++co.counters.candidates;
             ++co.counters.verified;
-            double s = simv.Compute(values[i].value, values[j].value);
-            if (s >= xi) co.pairs.push_back({values[i].label, values[j].label, s});
-          }
-        }
-      },
-      rec);
-  JoinCounters totals;
-  MergeChunks(chunks, out, &totals);
-  FinishReport(report, totals, stop.load(std::memory_order_relaxed), 0, 0,
-               *out);
-  AccumulateBusy(stats, report, "join.nested");
-  return Status::OK();
-}
-
-Status NestedLoopJoin::JoinAB(const std::vector<LabeledValue>& probe,
-                              const std::vector<LabeledValue>& base,
-                              const ValueSimilarity& simv, double xi,
-                              const RunGuard& guard,
-                              std::vector<ValuePair>* out,
-                              JoinReport* report) const {
-  HERA_FAILPOINT("simjoin.join");
-  out->clear();
-  ThreadPool* pool = executor();
-  const bool rec = collect_worker_spans() && report != nullptr &&
-                   pool != nullptr && pool->size() > 1;
-  const size_t n = probe.size();
-  const size_t grain = DefaultGrain(n, pool ? pool->size() : 1);
-  std::vector<ChunkOut> chunks(NumChunks(n, grain));
-  std::atomic<bool> stop{false};
-  ParallelRunStats stats = ParallelChunks(
-      pool, n, grain,
-      [&](size_t chunk, size_t begin, size_t end, size_t /*worker*/) {
-        ChunkOut& co = chunks[chunk];
-        GuardTicker ticker(guard);
-        for (size_t pi = begin;
-             pi < end && !stop.load(std::memory_order_relaxed); ++pi) {
-          const LabeledValue& p = probe[pi];
-          for (const LabeledValue& b : base) {
-            if (ticker.Tick()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            if (p.label.rid == b.label.rid) continue;
-            ++co.counters.candidates;
-            ++co.counters.verified;
-            double s = simv.Compute(p.value, b.value);
-            if (s >= xi) co.pairs.push_back({p.label, b.label, s});
+            double s = simv.Compute(a.value, b.value);
+            if (s >= xi) co.pairs.push_back({a.label, b.label, s});
           }
         }
       },

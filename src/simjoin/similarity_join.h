@@ -190,6 +190,14 @@ class NestedLoopJoin : public SimilarityJoin {
                 const ValueSimilarity& simv, double xi, const RunGuard& guard,
                 std::vector<ValuePair>* out,
                 JoinReport* report = nullptr) const override;
+
+ private:
+  /// The scan behind both entry points: the self-join of `base` when
+  /// `probe` is null, else `probe` against `base`.
+  Status Scan(const std::vector<LabeledValue>* probe,
+              const std::vector<LabeledValue>& base,
+              const ValueSimilarity& simv, double xi, const RunGuard& guard,
+              std::vector<ValuePair>* out, JoinReport* report) const;
 };
 
 /// \brief AllPairs/PPJoin+-style join: q-gram tokens interned in

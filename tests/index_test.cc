@@ -636,7 +636,6 @@ TEST(BoundsTest, EmptyPairsGiveZeroBounds) {
   BoundResult r = ComputeBounds({}, 3, 3);
   EXPECT_DOUBLE_EQ(r.upper, 0.0);
   EXPECT_DOUBLE_EQ(r.lower, 0.0);
-  EXPECT_FALSE(r.exact);
 }
 
 TEST(BoundsTest, OneToOnePairsAreExact) {
@@ -646,7 +645,6 @@ TEST(BoundsTest, OneToOnePairsAreExact) {
       {1, {0, 1, 0}, {1, 1, 0}, 0.8},
   };
   BoundResult r = ComputeBounds(pairs, 4, 3);
-  EXPECT_TRUE(r.exact);
   EXPECT_DOUBLE_EQ(r.upper, (1.0 + 0.8) / 3.0);
   EXPECT_DOUBLE_EQ(r.lower, r.upper);
 }
@@ -660,7 +658,6 @@ TEST(BoundsTest, MultipleFieldMakesBoundsDiverge) {
       {2, {0, 1, 0}, {1, 1, 0}, 0.5},
   };
   BoundResult r = ComputeBounds(pairs, 2, 2);
-  EXPECT_FALSE(r.exact);
   // Upper: left sums max per left field: 0.9 + 0.5 = 1.4; right sums
   // 0.9 + 0.6 = 1.5; min is 1.4.
   EXPECT_DOUBLE_EQ(r.upper, 1.4 / 2.0);
@@ -679,7 +676,7 @@ TEST(BoundsTest, RefinedSetKeepsMaxPerFieldPair) {
   ASSERT_EQ(r.refined.size(), 2u);
   EXPECT_DOUBLE_EQ(r.refined[0].sim, 0.9);
   EXPECT_DOUBLE_EQ(r.refined[1].sim, 0.5);
-  EXPECT_TRUE(r.exact);
+  EXPECT_DOUBLE_EQ(r.upper, r.lower);
 }
 
 TEST(BoundsTest, PaperExample4DirectComputation) {
@@ -691,7 +688,6 @@ TEST(BoundsTest, PaperExample4DirectComputation) {
       {2, {3, 4, 0}, {5, 4, 0}, 0.9},
   };
   BoundResult r = ComputeBounds(pairs, 5, 5);
-  EXPECT_TRUE(r.exact);
   EXPECT_DOUBLE_EQ(r.upper, 2.9 / 5.0);
   EXPECT_DOUBLE_EQ(r.lower, 2.9 / 5.0);
 }
@@ -744,7 +740,19 @@ TEST_P(BoundsPropertyTest, BoundsSandwichOptimum) {
     double optimal = BruteForceBestMatching(r.refined, nl, nr) / denom;
     EXPECT_LE(r.lower, optimal + 1e-9);
     EXPECT_GE(r.upper, optimal - 1e-9);
-    if (r.exact) EXPECT_NEAR(r.lower, optimal, 1e-9);
+    // A V' that covers every field at most once is itself the optimal
+    // matching, so both bounds must pin it.
+    std::vector<int> left_uses(nl, 0), right_uses(nr, 0);
+    bool one_to_one = true;
+    for (const auto& p : r.refined) {
+      if (++left_uses[p.a.fid] > 1 || ++right_uses[p.b.fid] > 1) {
+        one_to_one = false;
+      }
+    }
+    if (one_to_one) {
+      EXPECT_DOUBLE_EQ(r.upper, r.lower);
+      EXPECT_NEAR(r.lower, optimal, 1e-9);
+    }
   }
 }
 

@@ -753,6 +753,123 @@ TEST(PersistIncrementalTest, PersistFailpointsAreKnownAndPropagate) {
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
 }
 
+// Every non-timing HeraStats field of `got` equals `want`'s.
+void ExpectSameCounters(const HeraStats& got, const HeraStats& want) {
+  EXPECT_EQ(got.index_size, want.index_size);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.comparisons, want.comparisons);
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.direct_merges, want.direct_merges);
+  EXPECT_EQ(got.pruned_by_bound, want.pruned_by_bound);
+  EXPECT_EQ(got.merges, want.merges);
+  EXPECT_EQ(got.decided_schema_matchings, want.decided_schema_matchings);
+  EXPECT_EQ(got.avg_simplified_nodes, want.avg_simplified_nodes);
+  EXPECT_EQ(got.outcome, want.outcome);
+  EXPECT_EQ(got.shed_index_pairs, want.shed_index_pairs);
+  EXPECT_EQ(got.shed_posting_entries, want.shed_posting_entries);
+  EXPECT_EQ(got.deferred_candidate_groups, want.deferred_candidate_groups);
+  EXPECT_EQ(got.join_truncated, want.join_truncated);
+  EXPECT_EQ(got.shed_join_candidates, want.shed_join_candidates);
+  EXPECT_EQ(got.frontier_groups, want.frontier_groups);
+  EXPECT_EQ(got.budget_deferred_groups, want.budget_deferred_groups);
+  EXPECT_EQ(got.merge_sequence, want.merge_sequence);
+}
+
+// Runs `opts` on `ds` with the final snapshot failing. With
+// checkpoint_every = 1000 the directory is left holding the post-index
+// snapshot plus one WAL entry per pass the run completed.
+void RunWithFinalSnapshotLost(const HeraOptions& opts, const Dataset& ds,
+                              size_t want_wal_entries) {
+  // Hit 1 is the post-index snapshot; hit 2, the final one, fails.
+  failpoint::Arm("persist.snapshot", Status::IOError("injected"), /*skip=*/1,
+                 /*trips=*/1);
+  auto crashed = Hera(opts).Run(ds);
+  failpoint::DisarmAll();
+  ASSERT_FALSE(crashed.ok());
+
+  persist::CheckpointManager::Config config;
+  config.dir = opts.checkpoint_dir;
+  config.checkpoint_every = opts.checkpoint_every;
+  config.kind = persist::RunKind::kBatch;
+  config.options_fp = persist::FingerprintOptions(opts);
+  config.corpus_fp = persist::FingerprintDataset(ds);
+  auto recovered = persist::CheckpointManager::Recover(config, nullptr);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  ASSERT_EQ(recovered->state.stats.iterations, 0u);
+  ASSERT_EQ(recovered->wal.size(), want_wal_entries);
+}
+
+// Replay restores every counter, not only the labels: resuming from the
+// post-index snapshot plus one WAL entry per pass must rebuild the
+// uninterrupted run's HeraStats field by field (all but the timings).
+TEST(PersistResumeTest, WalReplayReproducesEveryCounter) {
+  Dataset ds = MakePublications();
+  HeraOptions base;
+  auto ref = Hera(base).Run(ds);
+  ASSERT_TRUE(ref.ok());
+  const HeraStats& want = ref->stats;
+  ASSERT_GE(want.iterations, 3u) << "dataset too easy to exercise replay";
+  ASSERT_GT(want.comparisons, 0u);
+  ASSERT_GT(want.direct_merges, 0u);
+  ASSERT_GT(want.pruned_by_bound, 0u);
+
+  HeraOptions opts = base;
+  opts.checkpoint_dir = TestDir("replay_counters");
+  opts.checkpoint_every = 1000;  // No snapshot between the passes.
+  RunWithFinalSnapshotLost(opts, ds, want.iterations);
+  if (HasFatalFailure()) return;
+
+  auto resumed = Hera(opts).Resume(ds);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->entity_of, ref->entity_of);
+  ExpectSameCounters(resumed->stats, want);
+  std::filesystem::remove_all(opts.checkpoint_dir);
+}
+
+// The same under a progressive budget cut, where the deferral and
+// frontier counters are non-zero. Resuming (budget lifted) from the
+// WAL must end where resuming from the cut's own final snapshot ends,
+// and the replayed passes must also reach the sampler's atomic mirrors.
+TEST(PersistResumeTest, WalReplayReproducesEveryCounterAfterBudgetCut) {
+  Dataset ds = MakeAmbiguous();
+  HeraOptions opts;
+  opts.progressive = true;
+  opts.collect_report = true;
+  opts.checkpoint_every = 1000;
+  opts.guard.WithMaxVerifications(5);
+  HeraOptions ropts = opts;
+  ropts.guard = RunGuard();  // Lift the budget; fresh guard.
+
+  opts.checkpoint_dir = ropts.checkpoint_dir = TestDir("replay_cut_snapshot");
+  auto cut = Hera(opts).Run(ds);
+  ASSERT_TRUE(cut.ok()) << cut.status();
+  ASSERT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget);
+  ASSERT_GT(cut->stats.budget_deferred_groups, 0u);
+  ASSERT_GT(cut->stats.frontier_groups, 0u);
+  auto want = Hera(ropts).Resume(ds);
+  ASSERT_TRUE(want.ok()) << want.status();
+  std::filesystem::remove_all(opts.checkpoint_dir);
+
+  opts.checkpoint_dir = ropts.checkpoint_dir = TestDir("replay_cut_wal");
+  RunWithFinalSnapshotLost(opts, ds, cut->stats.iterations);
+  if (HasFatalFailure()) return;
+  auto got = Hera(ropts).Resume(ds);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->entity_of, want->entity_of);
+  ExpectSameCounters(got->stats, want->stats);
+#ifndef HERA_DISABLE_OBS
+  // Replay started from the post-index snapshot, so the mirrors cover
+  // the whole run.
+  const auto& counters = got->report.counters;
+  EXPECT_EQ(counters.at("engine.verified_groups"), got->stats.candidates);
+  EXPECT_EQ(counters.at("quality.frontier_verified"), got->stats.candidates);
+  EXPECT_EQ(counters.at("quality.frontier_groups"), got->stats.frontier_groups);
+  EXPECT_EQ(counters.at("quality.frontier_deferred"),
+            got->stats.budget_deferred_groups);
+#endif  // HERA_DISABLE_OBS
+  std::filesystem::remove_all(opts.checkpoint_dir);
+}
+
 // A short write (ENOSPC-style) while persisting the budget-cut
 // checkpoint must degrade to a clean error with the previous epoch
 // intact — never a torn or half-replaced snapshot. The failpoint fires

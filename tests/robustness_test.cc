@@ -565,22 +565,6 @@ TEST(ProgressiveTest, NonBindingBudgetReachesDefaultFixpoint) {
   EXPECT_EQ(prog->entity_of, plain->entity_of);
 }
 
-// A small frontier capacity only bounds how much of the pass is
-// reordered; with the budget inside the reordered head, the spent
-// budget and outcome are unchanged.
-TEST(ProgressiveTest, FrontierCapacityCapsOrderingNotCorrectness) {
-  Dataset ds = MakeAmbiguous();
-  HeraOptions opts;
-  opts.progressive = true;
-  opts.frontier_capacity = 2;
-  opts.guard.WithMaxVerifications(2);
-  auto cut = Hera(opts).Run(ds);
-  ASSERT_TRUE(cut.ok()) << cut.status();
-  EXPECT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget);
-  EXPECT_EQ(cut->stats.candidates, 2u);
-  ExpectValidLabeling(*cut, ds.size());
-}
-
 TEST(ProgressiveTest, BudgetObserverFiresExactlyOnceWithReason) {
   Dataset ds = MakeAmbiguous();
   int fired = 0;
