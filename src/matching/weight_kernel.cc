@@ -34,12 +34,12 @@ BestPairScorer::BestPairScorer(const ValueSimilarity& simv)
     // the fly. Ids are insertion-ordered instead of frequency-ordered —
     // irrelevant here, the kernels only need the encoding injective.
     dict_.Freeze();
-  } else if (name == "edit" || name == "hybrid(edit)") {
+  } else if (IsEditMetric(name)) {
     // The bounded edit path is exact the same way the set kernels are:
     // NormalizedLevenshteinAtLeast returns the bit-equal score whenever
     // it reaches the floor (sim/string_metrics.h).
     edit_ = true;
-    hybrid_ = name == "hybrid(edit)";
+    hybrid_ = name != "edit";
   }
 }
 

@@ -15,8 +15,9 @@
 // Matrix calls are batched: the b side is encoded once per call (one
 // memo lookup per value instead of one per cell) and every row runs
 // through BestSetSimilarityBounded, which ratchets the floor up to the
-// row's running best as cells land. Edit-family metrics
-// ("edit", "hybrid(edit)") get the analogous treatment: the b side is
+// row's running best as cells land. Edit-family metrics (IsEditMetric:
+// "edit", "hybrid(edit)", "hybrid(edit,<numeric>)") get the analogous
+// treatment: the b side is
 // normalized once, then each cell runs the banded Myers kernel through
 // NormalizedLevenshteinAtLeastNormalized with the running best as the
 // floor, so hopeless cells bail on the length/histogram pre-filters

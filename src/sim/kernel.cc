@@ -261,6 +261,12 @@ bool GramMetricKind(const std::string& metric_name, int q, SetSimKind* kind) {
   return false;
 }
 
+bool IsEditMetric(const std::string& metric_name) {
+  return metric_name == "edit" || metric_name == "hybrid(edit)" ||
+         (metric_name.rfind("hybrid(edit,", 0) == 0 &&
+          metric_name.back() == ')');
+}
+
 int GramMetricSize(const std::string& metric_name) {
   // Parse the "_q<k>" suffix (possibly inside a one-argument hybrid
   // wrapper) and confirm through GramMetricKind so the two can never

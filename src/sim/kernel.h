@@ -131,6 +131,13 @@ size_t OverlapUpperBound(const uint32_t* a, size_t na, const uint32_t* b,
 /// (different q, edit/Jaro/TF-IDF families, two-argument hybrids).
 bool GramMetricKind(const std::string& metric_name, int q, SetSimKind* kind);
 
+/// True when a metric name (ValueSimilarity::Name()) scores strings by
+/// normalized Levenshtein — "edit", "hybrid(edit)" or
+/// "hybrid(edit,<numeric>)" — so a caller holding Normalize()d text may
+/// score string cells with NormalizedLevenshteinAtLeastNormalized
+/// (sim/string_metrics.h), bit-equal wherever it reaches its floor.
+bool IsEditMetric(const std::string& metric_name);
+
 /// The gram length of a gram-family metric name — the q at which
 /// GramMetricKind matches — or 0 for non-gram metrics (edit, Jaro,
 /// TF-IDF, two-argument hybrids). Join construction uses this to index

@@ -16,6 +16,7 @@
 #include "common/string_util.h"
 #include "parallel/parallel_for.h"
 #include "sim/kernel.h"
+#include "sim/string_metrics.h"
 #include "text/normalize.h"
 #include "text/qgram.h"
 
@@ -157,6 +158,9 @@ struct VerifyPlan {
   /// (bit-equal to the string path; see sim/kernel.h).
   bool use_kernel = false;
   SetSimKind kind = SetSimKind::kJaccard;
+  /// Edit-family metric (IsEditMetric): score the distinct texts'
+  /// normalized forms with the floor-aware banded Levenshtein.
+  bool edit = false;
   /// Positional/suffix filters apply (exact threshold: q-gram Jaccard).
   bool exact_filters = false;
 };
@@ -206,6 +210,12 @@ int PositionalSuffixFilter(const std::vector<uint32_t>& x, size_t px,
   return 0;
 }
 
+/// The verifier follows from the metric's name alone: the set kernels
+/// for a q-gram set metric with the join's q, the banded Levenshtein on
+/// normalized text for the edit family, and simv.Compute otherwise.
+/// Every non-Compute choice returns the metric's bit-equal score
+/// whenever it reaches xi, so the plan never changes which pairs are
+/// emitted or their sims.
 VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q) {
   VerifyPlan plan;
   SetSimKind kind;
@@ -213,20 +223,26 @@ VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q) {
     plan.use_kernel = true;
     plan.kind = kind;
   }
+  plan.edit = IsEditMetric(simv.Name());
   plan.exact_filters = IsJaccardMetric(simv, q);
   return plan;
 }
 
-/// Scores one string-path candidate per the plan: kernel when
-/// eligible (early exit below xi returns a negative sentinel, which
-/// callers' `s >= xi` emission test already rejects), else the metric.
-/// The kernel's score does not depend on argument order; the metric's
-/// may (Monge-Elkan).
+/// Scores one string-path candidate per the plan. Below xi the kernel
+/// returns a negative sentinel and the edit path 0.0, which callers'
+/// `s >= xi` emission test rejects. `x_norm` and `y_norm` are the
+/// texts' Normalize(ToString()) forms, the edit metric's own input;
+/// only the edit path reads them. The kernel's and the edit path's
+/// scores do not depend on argument order; a metric's may (Monge-Elkan).
 double VerifyStringPair(const VerifyPlan& plan, const ValueSimilarity& simv,
                         double xi, const std::vector<uint32_t>& x_ids,
-                        const std::vector<uint32_t>& y_ids, const Value& va,
-                        const Value& vb) {
+                        const std::vector<uint32_t>& y_ids,
+                        std::string_view x_norm, std::string_view y_norm,
+                        const Value& va, const Value& vb) {
   if (plan.use_kernel) return SetSimilarityBounded(plan.kind, x_ids, y_ids, xi);
+  if (plan.edit) {
+    return NormalizedLevenshteinAtLeastNormalized(x_norm, y_norm, xi);
+  }
   return simv.Compute(va, vb);
 }
 
@@ -734,15 +750,19 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   const size_t nd = distinct.value.size();
 
   // Tokenize (parallel): normalization + gram extraction, the
-  // embarrassingly parallel part. Workers write disjoint slots.
+  // embarrassingly parallel part. Workers write disjoint slots. The edit
+  // plan keeps each normalized text for verification.
   std::vector<std::vector<std::string>> grams(nd);
+  std::vector<std::string> norm(plan.edit ? nd : 0);
   {
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, nd, DefaultGrain(nd, nworkers),
         [&](size_t /*chunk*/, size_t begin, size_t end, size_t /*worker*/) {
           for (size_t t = begin; t < end; ++t) {
-            grams[t] = QgramSet(Normalize(distinct.value[t]->ToString()), q_);
+            std::string text = Normalize(distinct.value[t]->ToString());
+            grams[t] = QgramSet(text, q_);
+            if (plan.edit) norm[t] = std::move(text);
           }
         },
         rec);
@@ -791,6 +811,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   };
   auto value_of = [&](const Side& side, size_t t) -> const Value& {
     return *distinct.value[side.texts[t]];
+  };
+  auto norm_of = [&](const Side& side, size_t t) -> std::string_view {
+    return plan.edit ? std::string_view(norm[side.texts[t]])
+                     : std::string_view();
   };
 
   // Posting build (serial), in base text order; the posting ceiling
@@ -935,9 +959,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
               const uint32_t to = static_cast<uint32_t>(c.set);
               const std::vector<uint32_t>& y = ids_of(base_side, to);
               ++co.counters.verified;
-              const double s = VerifyStringPair(plan, simv, xi, x, y,
-                                                value_of(probes, from),
-                                                value_of(base_side, to));
+              const double s = VerifyStringPair(
+                  plan, simv, xi, x, y, norm_of(probes, from),
+                  norm_of(base_side, to), value_of(probes, from),
+                  value_of(base_side, to));
               if (s >= xi) {
                 ++co.counters.distinct_emitted;
                 co.edges.push_back({from, to, static_cast<uint32_t>(c.k), s});
@@ -946,8 +971,8 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
               // so y also probes x when one of y's occurrences comes
               // after x's first. That orientation shares the same first
               // prefix token, at y's position, and passes the same
-              // filters; the kernel scores it the same, the metric is
-              // asked again.
+              // filters; the kernel scores it the same, the edit and
+              // general plans verify it again.
               if (!self || to == from || y.size() != len_x ||
                   base_side.last_pos(to) <= base_side.first_pos(from)) {
                 continue;
@@ -957,6 +982,8 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                 ++co.counters.candidates;
                 ++co.counters.verified;
                 r = VerifyStringPair(plan, simv, xi, y, x,
+                                     norm_of(base_side, to),
+                                     norm_of(probes, from),
                                      value_of(base_side, to),
                                      value_of(probes, from));
                 if (r >= xi) ++co.counters.distinct_emitted;

@@ -204,9 +204,12 @@ class NestedLoopJoin : public SimilarityJoin {
 /// ascending global frequency, length + prefix filters over an
 /// inverted index — plus positional and suffix filters when the
 /// threshold is exact — then verification on the encoded token sets
-/// for every q-gram set metric with the filter's q, and with the
-/// actual metric otherwise. Which of the two a join uses follows from
-/// the metric's name alone.
+/// for every q-gram set metric with the filter's q, with the
+/// floor-aware banded Levenshtein on the normalized distinct texts for
+/// the edit family (IsEditMetric), and with the actual metric
+/// otherwise. Which of the three a join uses follows from the metric's
+/// name alone; the first two return the metric's bit-equal score
+/// whenever it reaches ξ, so the choice never changes the output.
 ///
 /// Both entry points run one pipeline: a numeric sweep, then the token
 /// path over each distinct value: interning, tokenizing, a dictionary
@@ -215,8 +218,10 @@ class NestedLoopJoin : public SimilarityJoin {
 /// occurrence pairs. Values are interned by exact payload (a string by
 /// its text, a number by its bit pattern), so every distinct text is
 /// tokenized, indexed and verified once however often it occurs. Each
-/// call tokenizes afresh: no gram cache outlives a join. The
-/// entry points differ only in what probes what. Join() probes each
+/// call tokenizes afresh: no gram cache outlives a join. Tokenizing
+/// normalizes each distinct text once; the edit family keeps that text
+/// for verification, so no candidate renders or normalizes a string.
+/// The entry points differ only in what probes what. Join() probes each
 /// distinct set, in ascending-size order, against the prefix lists of
 /// the sets before it, with a one-sided length filter, and pairs a text
 /// that occurs in several records with itself. JoinAB() probes each
@@ -242,8 +247,8 @@ class NestedLoopJoin : public SimilarityJoin {
 /// q-gram Jaccard with the same q — HERA's default; the positional and
 /// suffix filters apply only then. For other string metrics the prefix
 /// threshold is scaled down by `filter_slack` (candidate generation
-/// becomes heuristic blocking; verification still uses the true
-/// metric). Numeric values are joined by a sorted sweep, exact for the
+/// becomes heuristic blocking; verification still yields the true
+/// metric's score). Numeric values are joined by a sorted sweep, exact for the
 /// relative-difference and absolute-tolerance numeric similarities.
 class PrefixFilterJoin : public SimilarityJoin {
  public:

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -550,6 +551,122 @@ TEST(KernelJoinTest, KernelTogglePreservesJoinOutputForEveryGramMetric) {
   }
 }
 
+/// `s` with one random variation Normalize folds away (ASCII case,
+/// punctuation, spacing) or one it keeps (an ASCII byte edit).
+std::string Vary(std::string s, std::mt19937* rng) {
+  switch ((*rng)() % 5) {
+    case 0:
+      for (char& c : s) {
+        if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+      }
+      break;
+    case 1:
+      s = "\"" + s + "!\"";
+      break;
+    case 2:
+      if (size_t at = s.find(' '); at != std::string::npos) {
+        s.replace(at, 1, " ,  ");
+      }
+      break;
+    case 3: {
+      size_t at = (*rng)() % s.size();
+      if (static_cast<unsigned char>(s[at]) < 0x80) s[at] = 'q';
+      break;
+    }
+    default:
+      break;
+  }
+  return s;
+}
+
+/// Values of 90 records over 15 entities for the edit-join oracle: a
+/// short title (some multi-byte UTF-8), a description past one Myers
+/// word (> 64 bytes; a third past two, > 128), and a year or a title
+/// the record repeats. Records of one entity differ by Vary, twice
+/// over, so normalization and the banded kernel both decide scores.
+std::vector<LabeledValue> EditJoinCorpus() {
+  const std::vector<std::string> titles = {
+      "The Matrix Reloaded",      "Ein schöner Tag — naïve café",
+      "数据库 систем records",    "Heat (1995)",
+      "L.A. Confidential",        "Crouching Tiger, Hidden Dragon",
+      "Amélie",                   "Spirited Away",
+      "The Matrix Revolutions",   "Heat",
+      "Les Misérables",           "Crouching Tiger",
+      "Spirited Away: The Movie", "L.A. Story",
+      "Straße nach Süden"};
+  std::mt19937 rng(41);
+  std::vector<LabeledValue> values;
+  for (uint32_t rid = 0; rid < 90; ++rid) {
+    const size_t e = rid % titles.size();
+    std::string description =
+        titles[e] + " is a film about entity resolution across "
+                    "heterogeneous records and sources";
+    if (e % 3 == 0) description += ", told twice: " + description;
+    const Value third =
+        e % 2 == 0 ? Value(static_cast<double>(1960 + e * 3 + rid % 2))
+                   : Value(Vary(titles[e], &rng));
+    values.push_back({{rid, 0, 0}, Value(Vary(Vary(titles[e], &rng), &rng))});
+    values.push_back({{rid, 1, 0}, Value(Vary(Vary(description, &rng), &rng))});
+    values.push_back({{rid, 2, 0}, third});
+  }
+  return values;
+}
+
+TEST(KernelJoinTest, EditJoinMatchesMetricPathBitForBit) {
+  // The edit family verifies on the tokenize phase's normalized texts
+  // with the floor-aware banded Levenshtein; the metric-path oracle
+  // calls simv.Compute behind the same slackened filters. Emission
+  // order, sims (bitwise) and the filter/verify counters must agree.
+  const std::vector<LabeledValue> values = EditJoinCorpus();
+  std::vector<LabeledValue> probe, base;
+  for (const LabeledValue& lv : values) {
+    (lv.label.rid % 10 < 7 ? probe : base).push_back(lv);
+  }
+  for (const char* name :
+       {"edit", "hybrid(edit)", "hybrid(edit,numeric_tol30)"}) {
+    auto metric = MakeSimilarity(name);
+    ASSERT_NE(metric, nullptr) << name;
+    const MetricPathSimilarity oracle(metric);
+    for (size_t threads : {1u, 4u}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      PrefixFilterJoin join;
+      join.SetExecutor(pool.get());
+      for (double xi : {0.3, 0.5, 0.6, 0.9}) {
+        for (bool ab : {false, true}) {
+          const std::string where =
+              std::string(name) + (ab ? " JoinAB" : " Join") +
+              " xi=" + std::to_string(xi) +
+              " threads=" + std::to_string(threads);
+          std::vector<ValuePair> got, want;
+          JoinReport got_report, want_report;
+          if (ab) {
+            ASSERT_TRUE(join.JoinAB(probe, base, *metric, xi, RunGuard(),
+                                    &got, &got_report)
+                            .ok());
+            ASSERT_TRUE(join.JoinAB(probe, base, oracle, xi, RunGuard(),
+                                    &want, &want_report)
+                            .ok());
+          } else {
+            ASSERT_TRUE(
+                join.Join(values, *metric, xi, RunGuard(), &got, &got_report)
+                    .ok());
+            ASSERT_TRUE(
+                join.Join(values, oracle, xi, RunGuard(), &want, &want_report)
+                    .ok());
+          }
+          ASSERT_FALSE(want.empty()) << where;
+          EXPECT_EQ(AsTuples(got), AsTuples(want)) << where;
+          EXPECT_EQ(got_report.candidates, want_report.candidates) << where;
+          EXPECT_EQ(got_report.verified, want_report.verified) << where;
+          EXPECT_EQ(got_report.distinct_emitted, want_report.distinct_emitted)
+              << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelJoinTest, KernelJoinMatchesNestedLoopOracleForJaccard) {
   // String values only: the filter stack's exactness claim is for
   // q-gram Jaccard over strings (the numeric sweep handles numbers and
@@ -709,8 +826,10 @@ double BruteBest(const std::vector<Value>& a, const std::vector<Value>& b,
 }
 
 TEST(BestPairScorerTest, ExactWheneverMaxReachesFloor) {
-  const char* metrics[] = {"jaccard_q2", "dice_q2", "overlap_q3",
-                           "hybrid(jaccard_q2)", "edit", "hybrid(edit)"};
+  const char* metrics[] = {"jaccard_q2",   "dice_q2",
+                           "overlap_q3",   "hybrid(jaccard_q2)",
+                           "edit",         "hybrid(edit)",
+                           "hybrid(edit,numeric_tol30)"};
   const std::vector<std::string> corpus = TestCorpus();
   for (const char* name : metrics) {
     auto simv = MakeSimilarity(name);
@@ -745,7 +864,15 @@ TEST(BestPairScorerTest, KernelDetectionMatchesTheMetricFamily) {
   // Edit-family metrics take the bounded Myers path instead.
   EXPECT_TRUE(BestPairScorer(*MakeSimilarity("edit")).edit_active());
   EXPECT_TRUE(BestPairScorer(*MakeSimilarity("hybrid(edit)")).edit_active());
+  EXPECT_TRUE(BestPairScorer(*MakeSimilarity("hybrid(edit,numeric_tol30)"))
+                  .edit_active());
   EXPECT_FALSE(BestPairScorer(*MakeSimilarity("jaccard_q2")).edit_active());
+  EXPECT_FALSE(
+      BestPairScorer(*MakeSimilarity("hybrid(jaccard_q2,numeric_tol30)"))
+          .edit_active());
+  EXPECT_FALSE(IsEditMetric("edit [metric path]"));
+  EXPECT_FALSE(IsEditMetric("hybrid(edit"));
+  EXPECT_FALSE(IsEditMetric("jaro_winkler"));
 }
 
 TEST(BestPairScorerTest, ClusterSimilarityIdenticalWithScorerOnAndOff) {

@@ -17,8 +17,10 @@ does different work, and the PR that causes it updates the baseline
 (`--update`) and says why in CHANGES.md.
 
 Every counter, `sim.myers_calls` included, is independent of the host
-CPU: the kernels have one scalar path, and every edit distance runs the
-Myers kernel.
+CPU: the kernels have one scalar path. `sim.myers_calls` counts the edit
+distances that reach the Myers kernel; a pair that the floor-aware
+Levenshtein settles by its length-gap or byte-histogram bound makes no
+call, and neither does a pair with an empty side.
 
 Exit codes: 0 every count matches, 1 a count differs or a run was not
 correct, 2 operational error (a run printed no result, missing baseline).
