@@ -230,7 +230,6 @@ void ResolutionEngine::NoteJoinReport(const JoinReport& report,
     m.GetCounter("simjoin.pruned_prefix")->Inc(report.pruned_prefix);
     m.GetCounter("simjoin.pruned_length")->Inc(report.pruned_length);
     m.GetCounter("simjoin.pruned_positional")->Inc(report.pruned_positional);
-    m.GetCounter("simjoin.pruned_suffix")->Inc(report.pruned_suffix);
     m.GetCounter("simjoin.distinct_values")->Inc(report.distinct_values);
     m.GetCounter("simjoin.distinct_emitted")->Inc(report.distinct_emitted);
     if (h_worker_busy_us_ != nullptr) {

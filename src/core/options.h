@@ -134,13 +134,14 @@ struct HeraOptions {
   /// Progressive (budget-aware) execution. When the run is governed —
   /// a deadline, cancellation token, or verification budget
   /// (RunGuard::WithMaxVerifications) is set — each pass verifies its
-  /// candidate groups best-first: ordered by descending similarity
-  /// upper bound (the exact OverlapUpperBound machinery of the
-  /// verification path) instead of canonical index order, so work shed
-  /// at the cut is the *least promising* work. On a cut, unverified
-  /// groups drain into the checkpointable deferred queue and the run
-  /// ends with a truncated outcome + final snapshot; `--resume` picks
-  /// them up and converges to the same labels as an uninterrupted run.
+  /// candidate groups best-first: ordered by descending group upper
+  /// bound Up (ComputeBounds over the group's indexed value pairs, in a
+  /// pre-pass of ResolutionEngine's compare-and-merge loop) instead of
+  /// canonical index order, so work shed at the cut is the *least
+  /// promising* work. On a cut, unverified groups drain into the
+  /// checkpointable deferred queue and the run ends with a truncated
+  /// outcome + final snapshot; `--resume` picks them up and converges
+  /// to the same labels as an uninterrupted run.
   /// Ungoverned progressive runs keep canonical order — labels and
   /// merge_sequence stay byte-identical to progressive=false at every
   /// thread count. See docs/operational_limits.md

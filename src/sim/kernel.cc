@@ -216,30 +216,6 @@ double BestSetSimilarityBounded(
   return best;
 }
 
-size_t OverlapUpperBound(const uint32_t* a, size_t na, const uint32_t* b,
-                         size_t nb, int depth) {
-  size_t trivial = std::min(na, nb);
-  if (trivial == 0 || depth <= 0) return trivial;
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  // Split both spans on the larger side's median: intersection
-  // elements < w live entirely in the left halves, > w in the right,
-  // and w itself contributes at most 1 — so the bound is sound at any
-  // depth.
-  size_t mid = nb / 2;
-  uint32_t w = b[mid];
-  const uint32_t* split = std::lower_bound(a, a + na, w);
-  size_t a_lt = static_cast<size_t>(split - a);
-  bool has = a_lt < na && *split == w;
-  size_t skip = has ? 1 : 0;
-  size_t ub = OverlapUpperBound(a, a_lt, b, mid, depth - 1) + skip +
-              OverlapUpperBound(split + skip, na - a_lt - skip, b + mid + 1,
-                                nb - mid - 1, depth - 1);
-  return std::min(ub, trivial);
-}
-
 bool GramMetricKind(const std::string& metric_name, int q, SetSimKind* kind) {
   static constexpr struct {
     const char* base;

@@ -116,14 +116,6 @@ double BestSetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
                                 const std::vector<const std::vector<uint32_t>*>& bs,
                                 double floor);
 
-/// Upper bound on |a ∩ b| from sorted id spans without computing the
-/// intersection: partition on a median element and recurse `depth`
-/// levels (depth 0 is min(na, nb)). Sound for any depth — never less
-/// than the true intersection size — which is what makes the suffix
-/// filter built on it exact. O(2^depth log n).
-size_t OverlapUpperBound(const uint32_t* a, size_t na, const uint32_t* b,
-                         size_t nb, int depth);
-
 /// Maps a metric name (ValueSimilarity::Name()) to its set kind when
 /// the metric is a q-gram set similarity with gram length `q` —
 /// "jaccard_q<q>", "dice_q<q>", "overlap_q<q>", "cosine_q<q>", or the

@@ -1,7 +1,6 @@
 #include "sim/string_metrics.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -166,25 +165,6 @@ size_t MyersBlocked(std::string_view pat, std::string_view txt, size_t limit) {
   return score;
 }
 
-/// Lower bound on the edit distance from byte histograms: one edit
-/// changes the summed per-byte count difference by at most 2, so
-/// lev >= ceil(diff / 2). Exact inputs, integer math — safe to use as
-/// a bail-out at any threshold.
-size_t HistogramLowerBound(std::string_view a, std::string_view b) {
-  std::array<int32_t, 256> counts{};
-  for (char c : a) ++counts[static_cast<unsigned char>(c)];
-  for (char c : b) --counts[static_cast<unsigned char>(c)];
-  size_t diff = 0;
-  for (int32_t d : counts) {
-    diff += static_cast<size_t>(d < 0 ? -d : d);
-  }
-  return (diff + 1) / 2;
-}
-
-/// Histogram scan is ~256 adds + the two passes; below this length the
-/// banded kernel is cheaper than the filter.
-constexpr size_t kHistogramFilterMinLen = 16;
-
 size_t MyersDistance(std::string_view a, std::string_view b, size_t limit) {
   if (a.size() > b.size()) std::swap(a, b);  // Pattern = shorter side.
   if (a.empty()) return b.size();
@@ -249,30 +229,16 @@ double NormalizedLevenshteinAtLeastNormalized(std::string_view na,
     return 1.0 - static_cast<double>(d) / static_cast<double>(denom);
   };
   if (score_of(0) < floor) return 0.0;  // floor > 1.0: nothing reaches it.
-  // Largest distance whose score still reaches the floor. score_of is
-  // nonincreasing in d (IEEE division is monotone), so binary search.
-  size_t max_dist = denom;
-  if (score_of(denom) < floor) {
-    size_t lo = 0, hi = denom;  // Invariant: score_of(lo) >= floor > score_of(hi).
-    while (hi - lo > 1) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (score_of(mid) >= floor) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    max_dist = lo;
-  }
-  // Pre-filters: cheap exact lower bounds on the distance. When one
-  // already overshoots the budget the score is provably < floor — bail
-  // without any DP/Myers work.
-  const size_t gap = denom - std::min(na.size(), nb.size());
-  if (gap > max_dist) return 0.0;
-  if (max_dist < denom && denom >= kHistogramFilterMinLen &&
-      HistogramLowerBound(na, nb) > max_dist) {
-    return 0.0;
-  }
+  // Largest distance whose score still reaches the floor: the closed
+  // form (1 - floor) * denom lands within one step of it, and score_of
+  // (nonincreasing in d, IEEE division being monotone) settles the
+  // rounding. The comparison sends a NaN floor to the whole range
+  // rather than into an undefined cast.
+  const double budget = (1.0 - floor) * static_cast<double>(denom);
+  size_t max_dist =
+      budget < static_cast<double>(denom) ? static_cast<size_t>(budget) : denom;
+  while (max_dist > 0 && score_of(max_dist) < floor) --max_dist;
+  while (max_dist < denom && score_of(max_dist + 1) >= floor) ++max_dist;
   size_t dist = LevenshteinDistanceBounded(na, nb, max_dist);
   if (dist > max_dist) return 0.0;
   return score_of(dist);

@@ -49,12 +49,11 @@ double NormalizedLevenshtein(std::string_view a, std::string_view b);
 
 /// NormalizedLevenshtein with a floor: returns the exact (bit-equal)
 /// score when it is >= floor, else 0.0 — usually without paying the
-/// full edit-distance cost. Two pre-filters bail out before any DP:
-/// the length gap (lev >= ||a| - |b||) and the byte-histogram bound
-/// (lev >= ceil(diff/2) where diff sums per-byte count deltas); then
-/// the banded kernel runs against the largest distance that can still
-/// reach the floor, derived with the same double expression
-/// NormalizedLevenshtein evaluates, so the conversion is exact.
+/// full edit-distance cost. The largest distance that can still reach
+/// the floor comes in closed form from (1 - floor) * max(|a|, |b|),
+/// corrected with the same double expression NormalizedLevenshtein
+/// evaluates, so the conversion is exact; then LevenshteinDistanceBounded
+/// runs against it (a length gap over the budget bails before Myers).
 double NormalizedLevenshteinAtLeast(std::string_view a, std::string_view b,
                                     double floor);
 

@@ -62,7 +62,6 @@ struct JoinCounters {
   size_t encountered = 0;
   size_t pruned_length = 0;
   size_t pruned_positional = 0;
-  size_t pruned_suffix = 0;
   /// Token-path verifications that met xi (distinct-text pairs).
   size_t distinct_emitted = 0;
 
@@ -73,7 +72,6 @@ struct JoinCounters {
     encountered += o.encountered;
     pruned_length += o.pruned_length;
     pruned_positional += o.pruned_positional;
-    pruned_suffix += o.pruned_suffix;
     distinct_emitted += o.distinct_emitted;
   }
 };
@@ -115,7 +113,6 @@ void FinishReport(JoinReport* report, const JoinCounters& totals,
       token_pairs > totals.encountered ? token_pairs - totals.encountered : 0;
   report->pruned_length = totals.pruned_length;
   report->pruned_positional = totals.pruned_positional;
-  report->pruned_suffix = totals.pruned_suffix;
   report->distinct_emitted = totals.distinct_emitted;
 }
 
@@ -161,24 +158,13 @@ struct VerifyPlan {
   /// Edit-family metric (IsEditMetric): score the distinct texts'
   /// normalized forms with the floor-aware banded Levenshtein.
   bool edit = false;
-  /// Positional/suffix filters apply (exact threshold: q-gram Jaccard).
-  bool exact_filters = false;
 };
 
-/// Suffix filter recursion depth (each level costs a binary search and
-/// halves the spans; 2 is where the cost/benefit curve flattens for
-/// q-gram-sized sets).
-constexpr int kSuffixFilterDepth = 2;
-/// Skip the suffix filter when the remaining spans are shorter than
-/// this — verifying tiny sets outright is cheaper than bounding them.
-constexpr size_t kSuffixFilterMinRemain = 8;
-
-/// PPJoin-style check at the pair's first shared prefix token, found
-/// at position `px` of probe `x` and `py` of indexed `y` (both sorted
-/// rare-first, ids strictly ascending). The shared token contributes 1
-/// to the intersection, the suffixes past it at most min(remaining)
-/// (positional bound), tightened by a depth-limited partition bound
-/// (suffix filter).
+/// PPJoin positional check at the pair's first shared prefix token,
+/// found at position `px` of probe `x` and `py` of indexed `y` (both
+/// sorted rare-first, ids strictly ascending). The shared token
+/// contributes 1 to the intersection, the suffixes past it at most
+/// min(remaining).
 ///
 /// When `uncapped` (no posting list shed an entry), x[0..px) and
 /// y[0..py) share no token with the other set: each of their tokens is
@@ -190,24 +176,15 @@ constexpr size_t kSuffixFilterMinRemain = 8;
 /// match, so a ceiling run charges min(px, py) for the tokens below.
 /// Pruning only when the intersection provably cannot reach
 /// MinOverlapForThreshold keeps the filter exact: every pruned pair
-/// scores < xi.
-/// Returns 0 = keep, 1 = positional-pruned, 2 = suffix-pruned.
-int PositionalSuffixFilter(const std::vector<uint32_t>& x, size_t px,
-                           const std::vector<uint32_t>& y, size_t py,
-                           double xi, bool uncapped) {
+/// scores < xi. Returns true when the pair is pruned.
+bool PositionalFilter(const std::vector<uint32_t>& x, size_t px,
+                      const std::vector<uint32_t>& y, size_t py, double xi,
+                      bool uncapped) {
   const size_t nx = x.size(), ny = y.size();
   const size_t alpha =
       MinOverlapForThreshold(SetSimKind::kJaccard, nx, ny, xi);
   const size_t below = uncapped ? 1 : std::min(px, py) + 1;
-  const size_t rx = nx - px - 1, ry = ny - py - 1;
-  if (below + std::min(rx, ry) < alpha) return 1;
-  if (std::min(rx, ry) >= kSuffixFilterMinRemain) {
-    size_t ub = below + OverlapUpperBound(x.data() + px + 1, rx,
-                                          y.data() + py + 1, ry,
-                                          kSuffixFilterDepth);
-    if (ub < alpha) return 2;
-  }
-  return 0;
+  return below + std::min(nx - px - 1, ny - py - 1) < alpha;
 }
 
 /// The verifier follows from the metric's name alone: the set kernels
@@ -224,7 +201,6 @@ VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q) {
     plan.kind = kind;
   }
   plan.edit = IsEditMetric(simv.Name());
-  plan.exact_filters = IsJaccardMetric(simv, q);
   return plan;
 }
 
@@ -735,8 +711,8 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
     AccumulateBusy(stats, report, "join.numeric", phase_t0);
   }
 
-  // ---- Token path: AllPairs with length + prefix filters, plus
-  // positional/suffix filters when the threshold is exact. It runs on
+  // ---- Token path: AllPairs with length + prefix filters, plus the
+  // positional filter when the threshold is exact. It runs on
   // distinct values: every phase up to verification sees each distinct
   // value once, and the expansion at the end turns the similar distinct
   // pairs back into occurrence pairs, in the order a join over the
@@ -831,7 +807,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
     postings.Add(y, self ? PrefixLen(y.size(), filter_xi) : y.size(), si);
   }
   // A shed entry voids the positional filter's disjointness argument
-  // (PositionalSuffixFilter), so it is settled here, before the probe.
+  // (PositionalFilter), so it is settled here, before the probe.
   const bool uncapped = postings.shed() == 0;
 
   // Probe (parallel), one probe per distinct text. Candidates for probe
@@ -924,17 +900,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                   ++co.counters.pruned_length;
                   continue;
                 }
-                if (plan.exact_filters) {
-                  int pruned =
-                      PositionalSuffixFilter(x, k, y, e.pos, xi, uncapped);
-                  if (pruned != 0) {
-                    if (pruned == 1) {
-                      ++co.counters.pruned_positional;
-                    } else {
-                      ++co.counters.pruned_suffix;
-                    }
-                    continue;
-                  }
+                if (exact_jaccard &&
+                    PositionalFilter(x, k, y, e.pos, xi, uncapped)) {
+                  ++co.counters.pruned_positional;
+                  continue;
                 }
                 candidates.push_back({cj, k, e.pos});
               }

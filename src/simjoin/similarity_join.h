@@ -66,17 +66,19 @@ struct JoinReport {
   size_t emitted = 0;
   /// Per-filter pruning counters for the token path (all zero for the
   /// nested-loop join). A token-path pair flows
-  ///   prefix -> length -> positional -> suffix -> candidate
+  ///   prefix -> length -> positional -> candidate
   /// and is counted in exactly one bucket the first time it is pruned:
   /// `pruned_prefix` — pairs sharing no indexed prefix token (derived:
   /// eligible token pairs minus encountered ones); `pruned_length` —
   /// encountered pairs failing the length filter; `pruned_positional`
-  /// / `pruned_suffix` — PPJoin+-style position and suffix bounds,
-  /// applied only when the filter threshold is exact (q-gram Jaccard),
-  /// so pruning never changes the emitted pairs.
+  /// — the PPJoin positional bound, applied only when the filter
+  /// threshold is exact (q-gram Jaccard), so pruning never changes the
+  /// emitted pairs.
   size_t pruned_prefix = 0;
   size_t pruned_length = 0;
   size_t pruned_positional = 0;
+  /// Always 0: the join has no suffix filter. Kept because
+  /// perfbench/src/traced_run.cc still reports it.
   size_t pruned_suffix = 0;
   /// Distinct token-path values (the prefix-filter join interns its
   /// token-path values by exact payload and joins each once; 0 for the
@@ -200,14 +202,13 @@ class NestedLoopJoin : public SimilarityJoin {
               std::vector<ValuePair>* out, JoinReport* report) const;
 };
 
-/// \brief AllPairs/PPJoin+-style join: q-gram tokens interned in
+/// \brief AllPairs/PPJoin-style join: q-gram tokens interned in
 /// ascending global frequency, length + prefix filters over an
-/// inverted index — plus positional and suffix filters when the
-/// threshold is exact — then verification on the encoded token sets
-/// for every q-gram set metric with the filter's q, with the
-/// floor-aware banded Levenshtein on the normalized distinct texts for
-/// the edit family (IsEditMetric), and with the actual metric
-/// otherwise. Which of the three a join uses follows from the metric's
+/// inverted index — plus the positional filter when the threshold is
+/// exact — then verification on the encoded token sets for every
+/// q-gram set metric with the filter's q, with the floor-aware banded
+/// Levenshtein on the normalized distinct texts for the edit family
+/// (IsEditMetric), and with the actual metric otherwise. Which of the three a join uses follows from the metric's
 /// name alone; the first two return the metric's bit-equal score
 /// whenever it reaches ξ, so the choice never changes the output.
 ///
@@ -244,8 +245,8 @@ class NestedLoopJoin : public SimilarityJoin {
 /// entries per list.
 ///
 /// The filter stack is *exact* (no false negatives) when the metric is
-/// q-gram Jaccard with the same q — HERA's default; the positional and
-/// suffix filters apply only then. For other string metrics the prefix
+/// q-gram Jaccard with the same q — HERA's default; the positional
+/// filter applies only then. For other string metrics the prefix
 /// threshold is scaled down by `filter_slack` (candidate generation
 /// becomes heuristic blocking; verification still yields the true
 /// metric's score). Numeric values are joined by a sorted sweep, exact for the

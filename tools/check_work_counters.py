@@ -18,9 +18,10 @@ does different work, and the PR that causes it updates the baseline
 
 Every counter, `sim.myers_calls` included, is independent of the host
 CPU: the kernels have one scalar path. `sim.myers_calls` counts the edit
-distances that reach the Myers kernel; a pair that the floor-aware
-Levenshtein settles by its length-gap or byte-histogram bound makes no
-call, and neither does a pair with an empty side.
+distances that reach the Myers kernel; a pair whose length gap already
+exceeds the floor-aware Levenshtein's distance budget makes no call, and
+neither does a pair with an empty side. `simjoin.pruned_suffix` reads 0:
+the join has no suffix filter.
 
 Exit codes: 0 every count matches, 1 a count differs or a run was not
 correct, 2 operational error (a run printed no result, missing baseline).
