@@ -7,28 +7,6 @@ namespace hera {
 
 namespace {
 
-/// The exact similarity formula of `kind` for intersection size
-/// `inter`; one shared expression so SetSimilarity, the bounded
-/// variant, and MinOverlapForThreshold can never disagree in the last
-/// bit. Callers guarantee na > 0 and nb > 0.
-double FormulaOf(SetSimKind kind, size_t inter, size_t na, size_t nb) {
-  switch (kind) {
-    case SetSimKind::kJaccard: {
-      size_t uni = na + nb - inter;
-      return static_cast<double>(inter) / static_cast<double>(uni);
-    }
-    case SetSimKind::kDice:
-      return 2.0 * static_cast<double>(inter) / static_cast<double>(na + nb);
-    case SetSimKind::kOverlap:
-      return static_cast<double>(inter) /
-             static_cast<double>(std::min(na, nb));
-    case SetSimKind::kCosine:
-      return static_cast<double>(inter) /
-             std::sqrt(static_cast<double>(na) * static_cast<double>(nb));
-  }
-  return 0.0;  // Unreachable.
-}
-
 /// Sentinel for IntersectBoundedMerge: the intersection provably
 /// cannot reach min_req. Distinct from any real count (counts are <=
 /// set sizes, far below SIZE_MAX).
@@ -55,6 +33,24 @@ inline size_t IntersectBoundedMerge(const uint32_t* a, size_t na,
 }
 
 }  // namespace
+
+double FormulaOf(SetSimKind kind, size_t inter, size_t na, size_t nb) {
+  switch (kind) {
+    case SetSimKind::kJaccard: {
+      size_t uni = na + nb - inter;
+      return static_cast<double>(inter) / static_cast<double>(uni);
+    }
+    case SetSimKind::kDice:
+      return 2.0 * static_cast<double>(inter) / static_cast<double>(na + nb);
+    case SetSimKind::kOverlap:
+      return static_cast<double>(inter) /
+             static_cast<double>(std::min(na, nb));
+    case SetSimKind::kCosine:
+      return static_cast<double>(inter) /
+             std::sqrt(static_cast<double>(na) * static_cast<double>(nb));
+  }
+  return 0.0;  // Unreachable.
+}
 
 size_t IntersectSizeMerge(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb) {

@@ -15,7 +15,8 @@
 // bit-identical to the corresponding string-path score — callers can
 // switch paths without perturbing thresholds, merge order, or labels.
 //
-// Intersection strategy (IntersectSize):
+// Intersection strategy (IntersectSize), for BestPairScorer and the
+// tests; the join does not intersect pairs of sets this way:
 //   - bitmap: when both sets fit one small id window, intern the
 //     smaller set into stack-resident 64-bit words and probe with
 //     bit tests — no branches on the comparison ladder.
@@ -26,13 +27,18 @@
 // The choice depends only on the inputs' shape, and every strategy
 // computes the same exact count, so it never changes a score.
 //
-// Thresholded verification (SetSimilarityBounded) converts the
-// threshold into the minimum intersection size that can reach it
-// (MinOverlapForThreshold, computed with the *same* double formula, so
-// the conversion is exact, not epsilon-fudged) and abandons the merge
-// as soon as the remaining elements cannot reach that minimum — the
-// paper's simv upper bound, |a ∩ b| <= min(|a|, |b|), applied
-// continuously as the merge advances.
+// Thresholded verification converts the threshold into the minimum
+// intersection size that can reach it (MinOverlapForThreshold,
+// computed with the *same* double formula, so the conversion is exact,
+// not epsilon-fudged) and abandons the count as soon as the remaining
+// elements cannot reach that minimum — the paper's simv upper bound,
+// |a ∩ b| <= min(|a|, |b|), applied continuously as the count
+// advances. SetSimilarityBounded does this per call. The similarity
+// join (simjoin/similarity_join.cc) does it once per probe instead: it
+// sets the probe's ids in a dense bitmap over the whole dictionary,
+// keeps one minimum per candidate size, tests each candidate's ids
+// against the bitmap, and scores with FormulaOf — so its scores are
+// bit-equal to SetSimilarityBounded's.
 
 #ifndef HERA_SIM_KERNEL_H_
 #define HERA_SIM_KERNEL_H_
@@ -51,6 +57,12 @@ enum class SetSimKind {
   kOverlap,  // |a∩b| / min(|a|, |b|)
   kCosine,   // |a∩b| / sqrt(|a| |b|)
 };
+
+/// The exact similarity of `kind` for intersection size `inter` of
+/// sets of sizes `na` and `nb`, both > 0. Every score in this file and
+/// in the join's verify step is this one expression, so no two paths
+/// can disagree in the last bit.
+double FormulaOf(SetSimKind kind, size_t inter, size_t na, size_t nb);
 
 /// Exact |a ∩ b| by two-pointer merge; inputs sorted + deduplicated.
 size_t IntersectSizeMerge(const uint32_t* a, size_t na, const uint32_t* b,

@@ -151,8 +151,9 @@ bool IsJaccardMetric(const ValueSimilarity& simv, int q) {
 
 /// How a join verifies the candidates the filters let through.
 struct VerifyPlan {
-  /// Kernel-eligible metric: score encoded token sets directly
-  /// (bit-equal to the string path; see sim/kernel.h).
+  /// Kernel-eligible metric: score encoded token sets directly against
+  /// the probe's bitmap (ProbeBits; bit-equal to the string path, see
+  /// sim/kernel.h).
   bool use_kernel = false;
   SetSimKind kind = SetSimKind::kJaccard;
   /// Edit-family metric (IsEditMetric): score the distinct texts'
@@ -172,24 +173,79 @@ struct VerifyPlan {
 /// x's probed prefix and y's indexed portion; such a match would have
 /// put y on an earlier probed list, where the probe's dedup marker
 /// would have fired first. The overlap is then exactly
-/// 1 + |x[px+1..] ∩ y[py+1..]|. A capped list can hide that earlier
-/// match, so a ceiling run charges min(px, py) for the tokens below.
-/// Pruning only when the intersection provably cannot reach
-/// MinOverlapForThreshold keeps the filter exact: every pruned pair
-/// scores < xi. Returns true when the pair is pruned.
-bool PositionalFilter(const std::vector<uint32_t>& x, size_t px,
-                      const std::vector<uint32_t>& y, size_t py, double xi,
-                      bool uncapped) {
-  const size_t nx = x.size(), ny = y.size();
-  const size_t alpha =
-      MinOverlapForThreshold(SetSimKind::kJaccard, nx, ny, xi);
+/// 1 + |x[px+1..] ∩ y[py+1..]|, which is also where ProbeBits::Score
+/// starts counting. A capped list can hide that earlier match, so a
+/// ceiling run charges min(px, py) for the tokens below. `alpha` is
+/// MinOverlapForThreshold(kJaccard, |x|, |y|, xi); pruning only when
+/// the intersection provably cannot reach it keeps the filter exact:
+/// every pruned pair scores < xi. Returns true when the pair is pruned.
+bool PositionalFilter(size_t nx, size_t px, size_t ny, size_t py,
+                      size_t alpha, bool uncapped) {
   const size_t below = uncapped ? 1 : std::min(px, py) + 1;
   return below + std::min(nx - px - 1, ny - py - 1) < alpha;
 }
 
-/// The verifier follows from the metric's name alone: the set kernels
-/// for a q-gram set metric with the join's q, the banded Levenshtein on
-/// normalized text for the edit family, and simv.Compute otherwise.
+/// One worker's verify state for the kernel plan. The probe x's gram
+/// ids are set in a dense bitmap over the whole dictionary, so a
+/// candidate's overlap with x costs one bit test per candidate id. The
+/// probe sets its bits before its verify loop and clears them after,
+/// so the bitmap is zero between probes. The minimum overlap α that
+/// reaches xi depends only on |x| and |y|, so it is computed once per
+/// candidate size within a probe and shared with the positional
+/// filter. Probe indices are unique within a join, so the table is
+/// stamped with the probe it belongs to instead of being reset.
+class ProbeBits {
+ public:
+  /// Every gram id is < `vocab`; every candidate has <= `max_len` ids.
+  ProbeBits(size_t vocab, size_t max_len)
+      : words_(vocab / 64 + 1),
+        alpha_(max_len + 1),
+        alpha_probe_(max_len + 1, SIZE_MAX) {}
+
+  void Set(const std::vector<uint32_t>& x) {
+    for (uint32_t id : x) words_[id >> 6] |= uint64_t{1} << (id & 63);
+  }
+  void Clear(const std::vector<uint32_t>& x) {
+    for (uint32_t id : x) words_[id >> 6] = 0;
+  }
+
+  /// MinOverlapForThreshold(kind, nx, ny, xi) for probe `probe`.
+  size_t Alpha(SetSimKind kind, size_t probe, size_t nx, size_t ny,
+               double xi) {
+    if (alpha_probe_[ny] != probe) {
+      alpha_probe_[ny] = probe;
+      alpha_[ny] = MinOverlapForThreshold(kind, nx, ny, xi);
+    }
+    return alpha_[ny];
+  }
+
+  /// The score of the set probe (|x| = nx) against candidate y, given
+  /// that `inter` of the overlap lies in y[0..start) and the rest in
+  /// y[start..]: FormulaOf(kind, |x ∩ y|, nx, |y|) when the overlap
+  /// reaches `alpha`, else kBelowThreshold. The scan stops as soon as
+  /// the ids left cannot lift the count to alpha.
+  double Score(SetSimKind kind, size_t nx, const std::vector<uint32_t>& y,
+               size_t start, size_t inter, size_t alpha) const {
+    const size_t ny = y.size();
+    if (alpha > std::min(nx, ny)) return kBelowThreshold;
+    const uint64_t* words = words_.data();
+    for (size_t j = start; j < ny && inter + (ny - j) >= alpha; ++j) {
+      const uint32_t id = y[j];
+      inter += (words[id >> 6] >> (id & 63)) & 1;
+    }
+    return inter >= alpha ? FormulaOf(kind, inter, nx, ny) : kBelowThreshold;
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+  std::vector<size_t> alpha_;
+  std::vector<size_t> alpha_probe_;
+};
+
+/// The verifier follows from the metric's name alone: the probe bitmap
+/// (ProbeBits) for a q-gram set metric with the join's q, the banded
+/// Levenshtein on normalized text for the edit family, and
+/// simv.Compute otherwise.
 /// Every non-Compute choice returns the metric's bit-equal score
 /// whenever it reaches xi, so the plan never changes which pairs are
 /// emitted or their sims.
@@ -204,18 +260,16 @@ VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q) {
   return plan;
 }
 
-/// Scores one string-path candidate per the plan. Below xi the kernel
-/// returns a negative sentinel and the edit path 0.0, which callers'
-/// `s >= xi` emission test rejects. `x_norm` and `y_norm` are the
-/// texts' Normalize(ToString()) forms, the edit metric's own input;
-/// only the edit path reads them. The kernel's and the edit path's
-/// scores do not depend on argument order; a metric's may (Monge-Elkan).
+/// Scores one candidate of a plan without the kernel (ProbeBits scores
+/// those). Below xi the edit path returns 0.0, which callers' `s >= xi`
+/// emission test rejects. `x_norm` and `y_norm` are the texts'
+/// Normalize(ToString()) forms, the edit metric's own input; only the
+/// edit path reads them. The edit path's score does not depend on
+/// argument order; a metric's may (Monge-Elkan).
 double VerifyStringPair(const VerifyPlan& plan, const ValueSimilarity& simv,
-                        double xi, const std::vector<uint32_t>& x_ids,
-                        const std::vector<uint32_t>& y_ids,
-                        std::string_view x_norm, std::string_view y_norm,
-                        const Value& va, const Value& vb) {
-  if (plan.use_kernel) return SetSimilarityBounded(plan.kind, x_ids, y_ids, xi);
+                        double xi, std::string_view x_norm,
+                        std::string_view y_norm, const Value& va,
+                        const Value& vb) {
   if (plan.edit) {
     return NormalizedLevenshteinAtLeastNormalized(x_norm, y_norm, xi);
   }
@@ -546,8 +600,7 @@ Status NestedLoopJoin::Scan(const std::vector<LabeledValue>* probe,
   // each probe with every base value.
   const std::vector<LabeledValue>& outer = probe != nullptr ? *probe : base;
   ThreadPool* pool = executor();
-  const bool rec = collect_worker_spans() && report != nullptr &&
-                   pool != nullptr && pool->size() > 1;
+  const bool rec = collect_worker_spans() && report != nullptr;
   const size_t n = outer.size();
   const size_t grain = DefaultGrain(n, pool ? pool->size() : 1);
   std::vector<ChunkOut> chunks(NumChunks(n, grain));
@@ -614,8 +667,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // Per-phase chunk spans are rebased onto this join-entry clock so the
   // report's worker spans share one origin across all phases.
   Timer join_timer;
-  const bool rec =
-      collect_worker_spans() && report != nullptr && nworkers > 1;
+  const bool rec = collect_worker_spans() && report != nullptr;
   std::atomic<bool> stop{false};
   JoinCounters totals;
 
@@ -807,7 +859,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
     postings.Add(y, self ? PrefixLen(y.size(), filter_xi) : y.size(), si);
   }
   // A shed entry voids the positional filter's disjointness argument
-  // (PositionalFilter), so it is settled here, before the probe.
+  // (PositionalFilter), so it is settled here, before the probe. The
+  // kernel's verify scan rests on the same argument: uncapped, it
+  // starts after the first shared token with that token counted;
+  // capped, it scans the whole candidate.
   const bool uncapped = postings.shed() == 0;
 
   // Probe (parallel), one probe per distinct text. Candidates for probe
@@ -826,7 +881,8 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // against a base, the gathered list lengths too. Full base lists can
   // be long while few entries survive the filters, so that scan is
   // ticked before it runs; no candidate is counted yet there, so shed
-  // accounting stays exact.
+  // accounting stays exact. The kernel plan scores candidates against
+  // a per-worker ProbeBits, which also serves the positional filter's α.
   struct Candidate {
     size_t set;
     size_t k;    // Position of the first shared prefix token in the probe.
@@ -841,6 +897,14 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
         nworkers, std::vector<size_t>(nb, SIZE_MAX));
     std::vector<std::vector<Candidate>> cand_bufs(nworkers);
     std::vector<std::vector<const PostingTable::List*>> list_bufs(nworkers);
+    std::vector<ProbeBits> probe_bits;
+    if (plan.use_kernel) {
+      size_t max_len = 0;
+      for (size_t si = 0; si < nb; ++si) {
+        max_len = std::max(max_len, ids_of(base_side, si).size());
+      }
+      probe_bits.assign(nworkers, ProbeBits(dict.vocab_size(), max_len));
+    }
     const double phase_t0 = join_timer.ElapsedMicros();
     ParallelRunStats stats = ParallelChunks(
         pool, np, grain,
@@ -849,6 +913,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
           std::vector<size_t>& candidate_of = markers[worker];
           std::vector<Candidate>& candidates = cand_bufs[worker];
           std::vector<const PostingTable::List*>& lists = list_bufs[worker];
+          ProbeBits* bits = plan.use_kernel ? &probe_bits[worker] : nullptr;
           GuardTicker ticker(guard);
           for (size_t pi = begin;
                pi < end && !stop.load(std::memory_order_relaxed); ++pi) {
@@ -901,7 +966,10 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                   continue;
                 }
                 if (exact_jaccard &&
-                    PositionalFilter(x, k, y, e.pos, xi, uncapped)) {
+                    PositionalFilter(
+                        len_x, k, y.size(), e.pos,
+                        bits->Alpha(plan.kind, pi, len_x, y.size(), xi),
+                        uncapped)) {
                   ++co.counters.pruned_positional;
                   continue;
                 }
@@ -924,14 +992,27 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
               HERA_PREFETCH_READ(ids_of(base_side, c.set).data());
             }
             const uint32_t from = static_cast<uint32_t>(pi);
+            if (bits != nullptr) bits->Set(x);
             for (const Candidate& c : candidates) {
               const uint32_t to = static_cast<uint32_t>(c.set);
               const std::vector<uint32_t>& y = ids_of(base_side, to);
               ++co.counters.verified;
-              const double s = VerifyStringPair(
-                  plan, simv, xi, x, y, norm_of(probes, from),
-                  norm_of(base_side, to), value_of(probes, from),
-                  value_of(base_side, to));
+              double s;
+              if (bits != nullptr) {
+                // Uncapped, the first shared token is counted and nothing
+                // below it is shared (PositionalFilter); capped, all of y
+                // is read.
+                const size_t alpha =
+                    bits->Alpha(plan.kind, pi, len_x, y.size(), xi);
+                s = uncapped ? bits->Score(plan.kind, len_x, y, c.pos + 1, 1,
+                                           alpha)
+                             : bits->Score(plan.kind, len_x, y, 0, 0, alpha);
+              } else {
+                s = VerifyStringPair(plan, simv, xi, norm_of(probes, from),
+                                     norm_of(base_side, to),
+                                     value_of(probes, from),
+                                     value_of(base_side, to));
+              }
               if (s >= xi) {
                 ++co.counters.distinct_emitted;
                 co.edges.push_back({from, to, static_cast<uint32_t>(c.k), s});
@@ -950,8 +1031,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
               if (!plan.use_kernel) {
                 ++co.counters.candidates;
                 ++co.counters.verified;
-                r = VerifyStringPair(plan, simv, xi, y, x,
-                                     norm_of(base_side, to),
+                r = VerifyStringPair(plan, simv, xi, norm_of(base_side, to),
                                      norm_of(probes, from),
                                      value_of(base_side, to),
                                      value_of(probes, from));
@@ -961,6 +1041,7 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
                 co.edges.push_back({to, from, static_cast<uint32_t>(c.pos), r});
               }
             }
+            if (bits != nullptr) bits->Clear(x);
           }
         },
         rec);

@@ -94,12 +94,12 @@ struct JoinReport {
   /// phases; empty when the join ran serially. Feeds the
   /// parallel.worker_busy_us histogram.
   std::vector<double> worker_busy_us;
-  /// One chunk executed on a pool worker in one of the join's parallel
-  /// phases ("join.numeric", "join.tokenize", "join.probe",
-  /// "join.expand", "join.nested"). Collected only when the joiner's
-  /// SetCollectWorkerSpans is on and a pool is installed; start_us is
-  /// relative to the join call's entry. Feeds the trace export's
-  /// per-worker tracks.
+  /// One chunk executed by a worker in one of the join's phases
+  /// ("join.numeric", "join.tokenize", "join.probe", "join.expand",
+  /// "join.nested"). Collected only when the joiner's
+  /// SetCollectWorkerSpans is on; a serial join runs each phase as one
+  /// chunk on worker 0. start_us is relative to the join call's entry.
+  /// Feeds the trace export's per-worker tracks.
   struct WorkerSpan {
     const char* phase = "";
     size_t chunk = 0;
@@ -205,12 +205,20 @@ class NestedLoopJoin : public SimilarityJoin {
 /// \brief AllPairs/PPJoin-style join: q-gram tokens interned in
 /// ascending global frequency, length + prefix filters over an
 /// inverted index — plus the positional filter when the threshold is
-/// exact — then verification on the encoded token sets for every
-/// q-gram set metric with the filter's q, with the floor-aware banded
-/// Levenshtein on the normalized distinct texts for the edit family
-/// (IsEditMetric), and with the actual metric otherwise. Which of the three a join uses follows from the metric's
-/// name alone; the first two return the metric's bit-equal score
-/// whenever it reaches ξ, so the choice never changes the output.
+/// exact — then verification. Every q-gram set metric with the
+/// filter's q is verified on the encoded token sets: each worker sets
+/// the probe's gram ids in a dense bitmap over the dictionary, tests
+/// each candidate's ids against it, and stops once the minimum overlap
+/// α is out of reach. α is computed once per (probe, candidate size)
+/// and shared with the positional filter. When no posting list is
+/// capped, the scan starts after the pair's first shared prefix token,
+/// which it counts, since no token below it can be shared; with a
+/// capped list it reads the whole candidate. The edit family
+/// (IsEditMetric) is verified with the floor-aware banded Levenshtein
+/// on the normalized distinct texts, and any other metric with
+/// simv.Compute. Which of the three a join uses follows from the
+/// metric's name alone; the first two return the metric's bit-equal
+/// score whenever it reaches ξ, so the choice never changes the output.
 ///
 /// Both entry points run one pipeline: a numeric sweep, then the token
 /// path over each distinct value: interning, tokenizing, a dictionary

@@ -661,6 +661,171 @@ TEST(KernelJoinTest, EditJoinMatchesMetricPathBitForBit) {
   }
 }
 
+/// Distinct gram ids a join over `values` at gram length q assigns:
+/// one per distinct gram of the values' normalized renderings.
+size_t GramVocabulary(const std::vector<LabeledValue>& values, int q) {
+  std::set<std::string> grams;
+  for (const LabeledValue& lv : values) {
+    for (std::string& g : QgramSet(Normalize(lv.value.ToString()), q)) {
+      grams.insert(std::move(g));
+    }
+  }
+  return grams.size();
+}
+
+/// Values of 120 records over 40 entities whose 2-gram ids span far
+/// more than 1024: each entity is a random string over ASCII letters,
+/// digits and two-byte UTF-8 letters (grams are bytes), and each record
+/// holds it and a longer description with one or two letters replaced.
+std::vector<LabeledValue> WideGramCorpus() {
+  std::vector<std::string> letters;
+  for (char c = 'a'; c <= 'z'; ++c) letters.emplace_back(1, c);
+  for (char c = '0'; c <= '9'; ++c) letters.emplace_back(1, c);
+  for (int b = 0xA0; b <= 0xBF; ++b) {
+    letters.push_back({static_cast<char>(0xC3), static_cast<char>(b)});
+  }
+  std::mt19937 rng(29);
+  auto word = [&](size_t n) {
+    std::vector<std::string> w;
+    for (size_t i = 0; i < n; ++i) w.push_back(letters[rng() % letters.size()]);
+    return w;
+  };
+  auto render = [](const std::vector<std::string>& w) {
+    std::string s;
+    for (const std::string& l : w) s += l;
+    return s;
+  };
+  std::vector<LabeledValue> values;
+  for (uint32_t e = 0; e < 40; ++e) {
+    const std::vector<std::string> name = word(12 + e % 9);
+    const std::vector<std::string> about = word(30 + e % 13);
+    for (uint32_t r = 0; r < 3; ++r) {
+      std::vector<std::string> n = name, a = about;
+      for (uint32_t edits = 0; edits < 1 + r % 2; ++edits) {
+        n[rng() % n.size()] = letters[rng() % letters.size()];
+        a[rng() % a.size()] = letters[rng() % letters.size()];
+      }
+      const uint32_t rid = e * 3 + r;
+      values.push_back({{rid, 0, 0}, Value(render(n))});
+      values.push_back({{rid, 1, 0}, Value(render(n) + " " + render(a))});
+    }
+  }
+  return values;
+}
+
+TEST(KernelJoinTest, ProbeBitmapVerifyMatchesMetricPathBitForBit) {
+  // The kernel plan scores candidates against the probe's dictionary
+  // bitmap, starting after the first shared prefix token when no
+  // posting list is capped and at the candidate's first token when one
+  // is. The oracle scores every candidate with simv.Compute behind the
+  // same lists: for Jaccard its join runs without filter slack, so the
+  // prefixes match and the positional filter (Jaccard only) is the one
+  // filter it lacks. Emission order, sims (bitwise) and the work
+  // counters must agree, with and without a posting ceiling.
+  struct Corpus {
+    const char* name;
+    std::vector<LabeledValue> values;
+  };
+  const std::vector<Corpus> corpora = {
+      {"movies-90", ValuesOf(SmallMovies(90, 7))},
+      {"wide-grams", WideGramCorpus()}};
+  // The wide corpus's ids span more than one 1024-bit window.
+  ASSERT_GT(GramVocabulary(corpora[1].values, 2), 1024u);
+  struct MetricCase {
+    const char* metric;
+    int q;
+  };
+  for (const Corpus& corpus : corpora) {
+    std::vector<LabeledValue> probe, base;
+    for (const LabeledValue& lv : corpus.values) {
+      (lv.label.rid % 10 < 7 ? probe : base).push_back(lv);
+    }
+    for (const MetricCase mc :
+         {MetricCase{"jaccard_q2", 2}, MetricCase{"dice_q2", 2},
+          MetricCase{"overlap_q2", 2}, MetricCase{"cosine_q2", 2},
+          MetricCase{"jaccard_q3", 3}}) {
+      auto metric = MakeSimilarity(mc.metric);
+      ASSERT_NE(metric, nullptr) << mc.metric;
+      const MetricPathSimilarity oracle(metric);
+      const bool jaccard = std::string(mc.metric).rfind("jaccard", 0) == 0;
+      for (size_t max_posting : {0u, 4u}) {
+        RunGuard guard;
+        if (max_posting > 0) guard.WithMaxPostingList(max_posting);
+        for (size_t threads : {1u, 4u}) {
+          std::unique_ptr<ThreadPool> pool;
+          if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+          PrefixFilterJoin join(mc.q);
+          PrefixFilterJoin oracle_join(mc.q, jaccard ? 1.0 : 0.7);
+          join.SetExecutor(pool.get());
+          oracle_join.SetExecutor(pool.get());
+          for (bool ab : {false, true}) {
+            const std::string where =
+                std::string(corpus.name) + " " + mc.metric +
+                (ab ? " JoinAB" : " Join") +
+                " max_posting=" + std::to_string(max_posting) +
+                " threads=" + std::to_string(threads);
+            std::vector<ValuePair> got, want;
+            JoinReport got_report, want_report;
+            if (ab) {
+              ASSERT_TRUE(join.JoinAB(probe, base, *metric, 0.5, guard, &got,
+                                      &got_report)
+                              .ok());
+              ASSERT_TRUE(oracle_join
+                              .JoinAB(probe, base, oracle, 0.5, guard, &want,
+                                      &want_report)
+                              .ok());
+            } else {
+              ASSERT_TRUE(join.Join(corpus.values, *metric, 0.5, guard, &got,
+                                    &got_report)
+                              .ok());
+              ASSERT_TRUE(oracle_join
+                              .Join(corpus.values, oracle, 0.5, guard, &want,
+                                    &want_report)
+                              .ok());
+            }
+            ASSERT_FALSE(want.empty()) << where;
+            EXPECT_EQ(max_posting > 0, got_report.shed_posting_entries > 0)
+                << where;
+            EXPECT_EQ(AsTuples(got), AsTuples(want)) << where;
+            EXPECT_EQ(got_report.emitted, want_report.emitted) << where;
+            if (!jaccard) {
+              EXPECT_EQ(got_report.pruned_positional, 0u) << where;
+            }
+            // The oracle verifies what the positional filter pruned,
+            // and none of it reaches xi.
+            const size_t got_candidates =
+                got_report.candidates + got_report.pruned_positional;
+            const size_t got_verified =
+                got_report.verified + got_report.pruned_positional;
+            if (ab) {
+              EXPECT_EQ(got_candidates, want_report.candidates) << where;
+              EXPECT_EQ(got_verified, want_report.verified) << where;
+              EXPECT_EQ(got_report.distinct_emitted,
+                        want_report.distinct_emitted)
+                  << where;
+            } else {
+              // The self-join's oracle also verifies each equal-size
+              // pair a second time in the reverse orientation, which
+              // the kernel scores once: the same extra count on both
+              // counters, and at most that many extra emissions.
+              ASSERT_GE(want_report.verified, got_verified) << where;
+              const size_t reverse = want_report.verified - got_verified;
+              EXPECT_EQ(want_report.candidates, got_candidates + reverse)
+                  << where;
+              EXPECT_GE(want_report.distinct_emitted,
+                        got_report.distinct_emitted)
+                  << where;
+              EXPECT_LE(want_report.distinct_emitted,
+                        got_report.distinct_emitted + reverse)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelJoinTest, KernelJoinMatchesNestedLoopOracleForJaccard) {
   // String values only: the filter stack's exactness claim is for
   // q-gram Jaccard over strings (the numeric sweep handles numbers and

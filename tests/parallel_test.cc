@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -515,13 +516,27 @@ TEST(ParallelEngineTest, IndexProbeCountIsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelEngineTest, SerialRunRecordsNoWorkerSpans) {
+// A serial run splits its join into phases too: each phase runs as one
+// chunk on the calling thread, reported as worker 0. The expansion has
+// two passes (count, then fill), so it records two spans.
+TEST(ParallelEngineTest, SerialRunRecordsJoinPhaseSpansOnWorkerZero) {
   Dataset ds = MovieData(100, 23);
-  HeraOptions opts;
-  opts.collect_report = true;  // num_threads = 0: serial.
-  auto result = Hera(opts).Run(ds);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->report.worker_spans.empty());
+  for (size_t threads : {0u, 1u}) {
+    HeraOptions opts;
+    opts.num_threads = threads;
+    opts.collect_report = true;
+    auto result = Hera(opts).Run(ds);
+    ASSERT_TRUE(result.ok());
+    std::map<std::string, size_t> spans;
+    for (const obs::WorkerSpanRecord& s : result->report.worker_spans) {
+      ++spans[s.name];
+      EXPECT_EQ(s.worker, 0u) << s.name << " threads=" << threads;
+      EXPECT_GE(s.dur_ms, 0.0);
+    }
+    EXPECT_EQ(spans["join.tokenize"], 1u) << "threads=" << threads;
+    EXPECT_EQ(spans["join.probe"], 1u) << "threads=" << threads;
+    EXPECT_EQ(spans["join.expand"], 2u) << "threads=" << threads;
+  }
 }
 
 // The determinism contract extended to profiling: sampler and worker
