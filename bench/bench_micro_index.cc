@@ -21,12 +21,16 @@
 namespace hera {
 namespace {
 
-std::vector<LabeledValue> MakeValues(size_t num_records) {
+Dataset MakeDataset(size_t num_records) {
   MovieGeneratorConfig config;
   config.num_records = num_records;
   config.num_entities = std::max<size_t>(1, num_records / 8);
   config.seed = 5;
-  Dataset ds = GenerateMovieDataset(config);
+  return GenerateMovieDataset(config);
+}
+
+std::vector<LabeledValue> MakeValues(size_t num_records) {
+  Dataset ds = MakeDataset(num_records);
   std::vector<LabeledValue> values;
   for (const Record& r : ds.records()) {
     for (uint32_t i = 0; i < r.size(); ++i) {
@@ -87,31 +91,48 @@ void BM_CandidateLookup(benchmark::State& state) {
   ValuePairIndex index;
   index.Build(PrefixFilterJoin().Join(values, *metric, 0.5));
   Rng rng(3);
+  std::vector<IndexedPair> pairs;
   for (auto _ : state) {
     uint32_t i = static_cast<uint32_t>(rng.Uniform(500));
     uint32_t j = static_cast<uint32_t>(rng.Uniform(500));
     if (i == j) continue;
-    auto pairs = index.PairsFor(i, j);
-    benchmark::DoNotOptimize(pairs);
+    index.PairsInto(i, j, &pairs);
+    benchmark::DoNotOptimize(pairs.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_CandidateLookup);
 
 void BM_ComputeBounds(benchmark::State& state) {
+  Dataset ds = MakeDataset(500);
   auto values = MakeValues(500);
   auto metric = MakeSimilarity("jaccard_q2");
   ValuePairIndex index;
   index.Build(PrefixFilterJoin().Join(values, *metric, 0.5));
-  // Collect non-empty groups once.
-  std::vector<std::vector<IndexedPair>> groups;
-  index.ForEachGroup([&](uint32_t, uint32_t, const std::vector<IndexedPair>& p) {
-    groups.push_back(p);
-  });
+  // Collect non-empty groups once, with their records' field counts.
+  struct Group {
+    std::vector<IndexedPair> pairs;
+    size_t nf_i, nf_j;
+  };
+  std::vector<Group> groups;
+  index.ForEachGroup(
+      [&](uint32_t r1, uint32_t r2, const std::vector<IndexedPair>& p) {
+        groups.push_back({p, ds.record(r1).size(), ds.record(r2).size()});
+      });
+  // All three steps on one reused GroupBounds, as the fixpoint loop
+  // runs them on a group that reaches a direct merge.
+  GroupBounds bounds;
+  std::vector<IndexedPair> refined;
   size_t g = 0;
   for (auto _ : state) {
-    const auto& pairs = groups[g++ % groups.size()];
-    auto bounds = ComputeBounds(pairs, 10, 10);
-    benchmark::DoNotOptimize(bounds);
+    const Group& group = groups[g++ % groups.size()];
+    double upper = bounds.Upper(group.pairs, group.nf_i, group.nf_j, false);
+    double lower = bounds.Lower(group.pairs, group.nf_i, group.nf_j);
+    bounds.Refine(group.pairs, &refined);
+    benchmark::DoNotOptimize(upper);
+    benchmark::DoNotOptimize(lower);
+    benchmark::DoNotOptimize(refined.data());
+    benchmark::ClobberMemory();
   }
   state.counters["groups"] = static_cast<double>(groups.size());
 }

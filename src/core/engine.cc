@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -412,6 +411,16 @@ Status ResolutionEngine::IterateToFixpoint() {
   // cap): the carried loop state stays live for a resumed run.
   bool truncated_break = false;
 
+  // Group-visit state, reused by every visit of every pass so that a
+  // visit allocates nothing once warm: the group's pairs, the bounds'
+  // per-field marks, V' for direct merges, each rid's field count, and
+  // the records merged this pass.
+  std::vector<IndexedPair> group;
+  GroupBounds bounds;
+  std::vector<IndexedPair> refined;
+  std::vector<uint32_t> num_fields;
+  std::vector<uint8_t> merged_this_pass;
+
   while (loop_first_pass_ || !loop_dirty_.empty() || !loop_deferred_.empty()) {
     // Safe points: state is always a valid labeling between passes, so
     // deadline expiry / cancellation stops here and the caller gets
@@ -498,7 +507,15 @@ Status ResolutionEngine::IterateToFixpoint() {
       groups.resize(cap);
     }
 
-    std::unordered_map<uint32_t, bool> merged_this_pass;
+    // Field counts are taken at pass start. A visit reads them only for
+    // records not merged yet this pass, except for a carried deferral
+    // whose rid was absorbed into a record merged this pass; the merge
+    // step below refreshes the survivor's count for that case.
+    num_fields.assign(uf_.Size(), 0);
+    for (const auto& [rid, sr] : active_) {
+      num_fields[rid] = static_cast<uint32_t>(sr.num_fields());
+    }
+    merged_this_pass.assign(uf_.Size(), 0);
 
     // Best-first frontier (progressive mode): when the run is governed
     // — a verification budget, deadline, or cancellation token could
@@ -525,17 +542,17 @@ Status ResolutionEngine::IterateToFixpoint() {
         uint32_t i = uf_.Find(groups[k].first);
         uint32_t j = uf_.Find(groups[k].second);
         if (i > j) std::swap(i, j);
-        auto it_i = active_.find(i);
-        auto it_j = active_.find(j);
         bool needs_verify = false;
-        if (i != j && it_i != active_.end() && it_j != active_.end()) {
-          const std::vector<IndexedPair> pairs = index_.PairsFor(i, j);
-          if (!pairs.empty()) {
-            const BoundResult b = ComputeBounds(
-                pairs, it_i->second.num_fields(), it_j->second.num_fields(),
-                options_.tight_bounds);
-            upper[k] = b.upper;
-            needs_verify = b.upper >= options_.delta && b.upper != b.lower;
+        if (i != j) {
+          // Roots are live records.
+          assert(active_.count(i) == 1 && active_.count(j) == 1);
+          index_.PairsInto(i, j, &group);
+          if (!group.empty()) {
+            upper[k] = bounds.Upper(group, num_fields[i], num_fields[j],
+                                    options_.tight_bounds);
+            needs_verify =
+                upper[k] >= options_.delta &&
+                upper[k] != bounds.Lower(group, num_fields[i], num_fields[j]);
           }
         }
         (needs_verify ? verify_list : free_list).push_back(k);
@@ -571,35 +588,38 @@ Status ResolutionEngine::IterateToFixpoint() {
       uint32_t i = uf_.Find(g1), j = uf_.Find(g2);
       if (i == j) continue;  // Already merged (earlier pass).
       if (i > j) std::swap(i, j);
-      auto it_i = active_.find(i);
-      auto it_j = active_.find(j);
-      assert(it_i != active_.end() && it_j != active_.end());
 
-      const std::vector<IndexedPair> pairs = index_.PairsFor(i, j);
-      if (pairs.empty()) continue;  // Deleted by an earlier merge.
+      index_.PairsInto(i, j, &group);
+      if (group.empty()) continue;  // Deleted by an earlier merge.
       if (h_group_pairs_ != nullptr) {
-        h_group_pairs_->Observe(static_cast<double>(pairs.size()));
+        h_group_pairs_->Observe(static_cast<double>(group.size()));
       }
 
-      // Candidate generation: bound the similarity (Algorithm 1).
-      const BoundResult bounds =
-          ComputeBounds(pairs, it_i->second.num_fields(),
-                        it_j->second.num_fields(), options_.tight_bounds);
-      if (bounds.upper < options_.delta) {
+      // Candidate generation: bound the similarity (Algorithm 1), Up
+      // first, since most groups stop there.
+      const size_t nf_i = num_fields[i], nf_j = num_fields[j];
+      const double upper =
+          bounds.Upper(group, nf_i, nf_j, options_.tight_bounds);
+      if (upper < options_.delta) {
         ++pass.pruned;
         continue;
       }
+      const double lower = bounds.Lower(group, nf_i, nf_j);
+      auto it_i = active_.find(i);
+      auto it_j = active_.find(j);
+      assert(it_i != active_.end() && it_j != active_.end());
       // The merge this group would make, with the predictions it
       // records. Predictions are only ever recorded on paths that end
       // in a merge, so the merge step records them.
       persist::WalMerge merge;
       merge.i = i;
       merge.j = j;
-      if (bounds.upper == bounds.lower) {
+      if (upper == lower) {
         // Exact: similarity known without verification (the R' set).
         ++pass.direct;
-        merge.matching.reserve(bounds.refined.size());
-        for (const IndexedPair& p : bounds.refined) {
+        bounds.Refine(group, &refined);
+        merge.matching.reserve(refined.size());
+        for (const IndexedPair& p : refined) {
           merge.matching.push_back({p.a.fid, p.b.fid, p.sim});
           if (options_.enable_schema_voting) {
             // R' matchings are exact field matchings (Definition 4) and
@@ -647,7 +667,7 @@ Status ResolutionEngine::IterateToFixpoint() {
         VerifyResult vr;
         if (h_verify_us_ != nullptr) {
           obs::ScopedTimer verify_timer(nullptr, h_verify_us_);
-          vr = verifier.Verify(it_i->second, it_j->second, pairs);
+          vr = verifier.Verify(it_i->second, it_j->second, group);
           verify_timer.Stop();
           if (vr.simplified_nodes > 0) {
             h_km_nodes_->Observe(static_cast<double>(vr.simplified_nodes));
@@ -656,7 +676,7 @@ Status ResolutionEngine::IterateToFixpoint() {
             h_km_matrix_->Observe(static_cast<double>(vr.km_size));
           }
         } else {
-          vr = verifier.Verify(it_i->second, it_j->second, pairs);
+          vr = verifier.Verify(it_i->second, it_j->second, group);
         }
         if (vr.simplified_nodes > 0) {
           pass.simplified_sum += static_cast<double>(vr.simplified_nodes);
@@ -675,7 +695,8 @@ Status ResolutionEngine::IterateToFixpoint() {
       // replay can never trip it again.
       HERA_FAILPOINT("engine.merge");
       HERA_RETURN_NOT_OK(ApplyPassMerge(merge));
-      merged_this_pass[i] = merged_this_pass[j] = true;
+      merged_this_pass[i] = merged_this_pass[j] = 1;
+      num_fields[i] = static_cast<uint32_t>(it_i->second.num_fields());
       if (ckpt_ != nullptr) pass.merges.push_back(std::move(merge));
     }
 

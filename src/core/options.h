@@ -135,7 +135,7 @@ struct HeraOptions {
   /// a deadline, cancellation token, or verification budget
   /// (RunGuard::WithMaxVerifications) is set — each pass verifies its
   /// candidate groups best-first: ordered by descending group upper
-  /// bound Up (ComputeBounds over the group's indexed value pairs, in a
+  /// bound Up (GroupBounds over the group's indexed value pairs, in a
   /// pre-pass of ResolutionEngine's compare-and-merge loop) instead of
   /// canonical index order, so work shed at the cut is the *least
   /// promising* work. On a cut, unverified groups drain into the

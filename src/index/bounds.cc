@@ -2,55 +2,107 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
+#include <limits>
 
 namespace hera {
 
-BoundResult ComputeBounds(const std::vector<IndexedPair>& pairs,
-                          size_t num_fields_i, size_t num_fields_j,
-                          bool tight) {
-  BoundResult result;
-  if (pairs.empty()) return result;
+namespace {
+
+bool Marked(const std::vector<uint32_t>& marks, size_t fid, uint32_t stamp) {
+  return fid < marks.size() && marks[fid] == stamp;
+}
+
+/// Marks `fid` with `stamp` and returns true, or returns false when the
+/// current call already marked it. Grows `marks` to cover `fid`.
+bool FirstMark(std::vector<uint32_t>& marks, size_t fid, uint32_t stamp) {
+  if (fid >= marks.size()) marks.resize(std::max(fid + 1, 2 * marks.size()), 0);
+  if (marks[fid] == stamp) return false;
+  marks[fid] = stamp;
+  return true;
+}
+
+double Denominator(size_t num_fields_i, size_t num_fields_j) {
   const double denom =
       static_cast<double>(std::min(num_fields_i, num_fields_j));
   assert(denom > 0.0);
+  return denom;
+}
 
-  // ---- Step 1: refined field set V' — max-sim value pair per field
-  // pair. Input is sorted by descending sim, so the first pair seen for
-  // a (fid_a, fid_b) combination is the maximum.
-  std::unordered_set<uint64_t> seen_field_pair;
-  seen_field_pair.reserve(pairs.size());
-  for (const IndexedPair& p : pairs) {
-    uint64_t fkey = (static_cast<uint64_t>(p.a.fid) << 32) | p.b.fid;
-    if (seen_field_pair.insert(fkey).second) result.refined.push_back(p);
+}  // namespace
+
+uint32_t GroupBounds::NextStamp() {
+  if (stamp_ == std::numeric_limits<uint32_t>::max()) {
+    std::fill(left_.begin(), left_.end(), 0);
+    std::fill(right_.begin(), right_.end(), 0);
+    std::fill(cell_.begin(), cell_.end(), 0);
+    stamp_ = 0;
   }
+  return ++stamp_;
+}
 
-  // ---- Step 2: upper bound — Algorithm 1 keeps, for each field of
-  // the left record, the covering pair of maximum similarity (flagU is
-  // keyed on (rid1, fid1)); the matching assigns each left field at
+double GroupBounds::Upper(std::span<const IndexedPair> pairs,
+                          size_t num_fields_i, size_t num_fields_j,
+                          bool tight) {
+  if (pairs.empty()) return 0.0;
+  // Algorithm 1 keeps, for each field of the left record, the covering
+  // pair of maximum similarity; the matching assigns each left field at
   // most one pair of at most that similarity, so the sum bounds the
-  // optimum. First occurrence per fid is the max (descending sort).
-  // In tight mode the same sum over the right side also bounds the
-  // optimum and the smaller of the two is used.
+  // optimum. The first pair per fid is the max (descending sort). In
+  // tight mode the same sum over the right side also bounds the optimum
+  // and the smaller of the two is used.
+  const uint32_t stamp = NextStamp();
   double up_left = 0.0, up_right = 0.0;
-  std::unordered_set<uint32_t> seen_left, seen_right;
-  for (const IndexedPair& p : result.refined) {
-    if (seen_left.insert(p.a.fid).second) up_left += p.sim;
-    if (seen_right.insert(p.b.fid).second) up_right += p.sim;
+  for (const IndexedPair& p : pairs) {
+    if (FirstMark(left_, p.a.fid, stamp)) up_left += p.sim;
+    if (tight && FirstMark(right_, p.b.fid, stamp)) up_right += p.sim;
   }
-  result.upper = (tight ? std::min(up_left, up_right) : up_left) / denom;
+  return (tight ? std::min(up_left, up_right) : up_left) /
+         Denominator(num_fields_i, num_fields_j);
+}
 
-  // ---- Step 3: lower bound — greedy one-to-one matching in
-  // descending similarity (always an achievable matching).
+double GroupBounds::Lower(std::span<const IndexedPair> pairs,
+                          size_t num_fields_i, size_t num_fields_j) {
+  if (pairs.empty()) return 0.0;
+  // Greedy one-to-one matching in descending similarity (always an
+  // achievable matching).
+  const uint32_t stamp = NextStamp();
   double greedy = 0.0;
-  std::unordered_set<uint32_t> used_left, used_right;
-  for (const IndexedPair& p : result.refined) {
-    if (used_left.count(p.a.fid) || used_right.count(p.b.fid)) continue;
-    used_left.insert(p.a.fid);
-    used_right.insert(p.b.fid);
+  for (const IndexedPair& p : pairs) {
+    if (Marked(left_, p.a.fid, stamp) || Marked(right_, p.b.fid, stamp)) {
+      continue;
+    }
+    FirstMark(left_, p.a.fid, stamp);
+    FirstMark(right_, p.b.fid, stamp);
     greedy += p.sim;
   }
-  result.lower = greedy / denom;
+  return greedy / Denominator(num_fields_i, num_fields_j);
+}
+
+void GroupBounds::Refine(std::span<const IndexedPair> pairs,
+                         std::vector<IndexedPair>* refined) {
+  refined->clear();
+  if (pairs.empty()) return;
+  // The first pair seen for a (fid_a, fid_b) combination is its
+  // maximum (descending sort).
+  uint32_t max_b = 0;
+  for (const IndexedPair& p : pairs) max_b = std::max(max_b, p.b.fid);
+  const size_t width = static_cast<size_t>(max_b) + 1;
+  const uint32_t stamp = NextStamp();
+  for (const IndexedPair& p : pairs) {
+    if (FirstMark(cell_, p.a.fid * width + p.b.fid, stamp)) {
+      refined->push_back(p);
+    }
+  }
+}
+
+BoundResult ComputeBounds(std::span<const IndexedPair> pairs,
+                          size_t num_fields_i, size_t num_fields_j,
+                          bool tight) {
+  GroupBounds bounds;
+  BoundResult result;
+  result.upper = bounds.Upper(pairs, num_fields_i, num_fields_j, tight);
+  result.lower = bounds.Lower(pairs, num_fields_i, num_fields_j);
+  bounds.Refine(pairs, &result.refined);
   return result;
 }
 

@@ -131,17 +131,20 @@ void ValuePairIndex::AddPairs(const std::vector<ValuePair>& pairs) {
   FinishAppends(std::move(touched));
 }
 
-std::vector<IndexedPair> ValuePairIndex::PairsFor(uint32_t i, uint32_t j) const {
+void ValuePairIndex::ExpandGroup(uint32_t g,
+                                 std::vector<IndexedPair>* out) const {
+  out->clear();
+  for (const Slot& s : groups_[g].slots) out->push_back(Expand(s));
+}
+
+void ValuePairIndex::PairsInto(uint32_t i, uint32_t j,
+                               std::vector<IndexedPair>* out) const {
   ++probe_count_;
+  out->clear();
   if (i > j) std::swap(i, j);
-  std::vector<IndexedPair> out;
-  if (i == j) return out;
+  if (i == j) return;
   const uint64_t* g = group_of_.Find(GroupKey(i, j));
-  if (g == nullptr) return out;
-  const std::vector<Slot>& slots = groups_[*g].slots;
-  out.reserve(slots.size());
-  for (const Slot& s : slots) out.push_back(Expand(s));
-  return out;
+  if (g != nullptr) ExpandGroup(static_cast<uint32_t>(*g), out);
 }
 
 std::vector<uint32_t> ValuePairIndex::SortedGroupIds() const {
@@ -189,8 +192,7 @@ void ValuePairIndex::ForEachGroup(
         fn) const {
   std::vector<IndexedPair> pairs;
   for (uint32_t g : SortedGroupIds()) {
-    pairs.clear();
-    for (const Slot& s : groups_[g].slots) pairs.push_back(Expand(s));
+    ExpandGroup(g, &pairs);
     fn(groups_[g].rid1, groups_[g].rid2, pairs);
   }
 }

@@ -77,9 +77,18 @@ class ValuePairIndex {
   /// build time).
   size_t size() const { return size_; }
 
-  /// All pairs for the record pair (i, j), descending similarity.
-  /// Order of i and j does not matter. Counts one probe.
-  std::vector<IndexedPair> PairsFor(uint32_t i, uint32_t j) const;
+  /// Writes all pairs for the record pair (i, j) into `*out`, replacing
+  /// its contents, in descending similarity; `out` keeps its capacity,
+  /// so a caller that reuses one buffer allocates only when a group
+  /// outgrows it. Order of i and j does not matter. Counts one probe.
+  void PairsInto(uint32_t i, uint32_t j, std::vector<IndexedPair>* out) const;
+
+  /// PairsInto into a fresh vector. Counts one probe.
+  std::vector<IndexedPair> PairsFor(uint32_t i, uint32_t j) const {
+    std::vector<IndexedPair> out;
+    PairsInto(i, j, &out);
+    return out;
+  }
 
   /// Keys of every non-empty (rid1, rid2) group, rid1 < rid2, in index
   /// order (rid1 asc, rid2 asc).
@@ -111,8 +120,8 @@ class ValuePairIndex {
   void ForEachPostingLength(
       const std::function<void(uint32_t rid, size_t len)>& fn) const;
 
-  /// PairsFor lookups served since construction (probe traffic; never
-  /// reset by Build).
+  /// PairsInto/PairsFor lookups served since construction (probe
+  /// traffic; never reset by Build).
   size_t probe_count() const { return probe_count_; }
 
   /// Heap bytes held by the index: the capacity of the pair slots, the
@@ -196,6 +205,8 @@ class ValuePairIndex {
   IndexedPair Expand(const Slot& s) const {
     return {s.pid, labels_[s.ga], labels_[s.gb], s.sim};
   }
+  /// Replaces `*out` with group `g`'s pairs, labeled.
+  void ExpandGroup(uint32_t g, std::vector<IndexedPair>* out) const;
 
   std::vector<Group> groups_;
   std::vector<uint32_t> free_groups_;
@@ -211,7 +222,7 @@ class ValuePairIndex {
   size_t max_per_record_ = 0;
   size_t shed_pairs_ = 0;
   size_t shed_posting_entries_ = 0;
-  /// Mutable so the const PairsFor can count its calls.
+  /// Mutable so the const PairsInto can count its calls.
   mutable uint64_t probe_count_ = 0;
 };
 

@@ -1021,22 +1021,21 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
               // so y also probes x when one of y's occurrences comes
               // after x's first. That orientation shares the same first
               // prefix token, at y's position, and passes the same
-              // filters; the kernel scores it the same, the edit and
-              // general plans verify it again.
+              // filters. The kernel and edit scores are symmetric, so
+              // it reuses s; only the general plan verifies it again
+              // (Monge-Elkan is not symmetric). No plan counts it: the
+              // counters describe the distinct pair once.
               if (!self || to == from || y.size() != len_x ||
                   base_side.last_pos(to) <= base_side.first_pos(from)) {
                 continue;
               }
-              double r = s;
-              if (!plan.use_kernel) {
-                ++co.counters.candidates;
-                ++co.counters.verified;
-                r = VerifyStringPair(plan, simv, xi, norm_of(base_side, to),
-                                     norm_of(probes, from),
-                                     value_of(base_side, to),
-                                     value_of(probes, from));
-                if (r >= xi) ++co.counters.distinct_emitted;
-              }
+              const double r =
+                  plan.use_kernel || plan.edit
+                      ? s
+                      : VerifyStringPair(plan, simv, xi, norm_of(base_side, to),
+                                         norm_of(probes, from),
+                                         value_of(base_side, to),
+                                         value_of(probes, from));
               if (r >= xi) {
                 co.edges.push_back({to, from, static_cast<uint32_t>(c.pos), r});
               }

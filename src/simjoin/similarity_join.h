@@ -83,10 +83,12 @@ struct JoinReport {
   /// Distinct token-path values (the prefix-filter join interns its
   /// token-path values by exact payload and joins each once; 0 for the
   /// nested-loop join). On that path `candidates`, `verified` and the
-  /// pruned counters count pairs of distinct values, not occurrences.
+  /// pruned counters count pairs of distinct values, not occurrences;
+  /// the self-join's second orientation of an equal-size pair is not
+  /// counted again, whatever the metric.
   size_t distinct_values = 0;
-  /// Distinct-value verifications that met xi; each expands into the
-  /// occurrence pairs counted by `emitted`.
+  /// Distinct-value verifications that met xi, each distinct pair once;
+  /// each expands into the occurrence pairs counted by `emitted`.
   size_t distinct_emitted = 0;
   /// Worker threads the join's parallel phases ran on (1 = serial).
   size_t threads_used = 1;

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/hera.h"
+#include "data/ambiguity_generator.h"
+#include "data/movie_generator.h"
 #include "sim/metrics.h"
 #include "testing_util.h"
 
@@ -103,6 +108,150 @@ TEST(EngineTest, TakeSuperRecordsTransfersOwnership) {
   auto supers = engine.TakeSuperRecords();
   EXPECT_EQ(supers.size(), 2u);
   EXPECT_TRUE(engine.active().empty());
+}
+
+/// The loop counters a change to the group visit must not move.
+struct LoopCounts {
+  size_t pruned_by_bound = 0;
+  size_t direct_merges = 0;
+  size_t comparisons = 0;
+  uint64_t probes = 0;
+  uint64_t merge_sequence_fp = 0;
+
+  bool operator==(const LoopCounts&) const = default;
+};
+
+std::string ToString(const LoopCounts& c) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "{%zu, %zu, %zu, %llu, 0x%016llxull}",
+                c.pruned_by_bound, c.direct_merges, c.comparisons,
+                static_cast<unsigned long long>(c.probes),
+                static_cast<unsigned long long>(c.merge_sequence_fp));
+  return buf;
+}
+
+LoopCounts CountsOf(const HeraResult& r) {
+  LoopCounts c;
+  c.pruned_by_bound = r.stats.pruned_by_bound;
+  c.direct_merges = r.stats.direct_merges;
+  c.comparisons = r.stats.comparisons;
+  c.probes = r.report.counters.at("index.probes");
+  uint64_t h = 1469598103934665603ULL;
+  for (const auto& [i, j] : r.stats.merge_sequence) {
+    for (uint32_t v : {i, j}) {
+      h ^= v;
+      h *= 1099511628211ULL;
+    }
+  }
+  c.merge_sequence_fp = h;
+  return c;
+}
+
+struct CounterCase {
+  const char* name;
+  Dataset dataset;
+  const char* metric;
+  /// Unbudgeted run, at every thread count.
+  LoopCounts full;
+  /// Progressive run cut by a verification budget.
+  LoopCounts cut;
+  /// The cut run resumed with the budget lifted.
+  LoopCounts resumed;
+  /// A run whose passes examine at most kCap groups each, carrying the
+  /// rest as deferrals into the next pass.
+  LoopCounts capped;
+};
+
+Dataset SmallMovies(size_t records, size_t entities) {
+  MovieGeneratorConfig config;
+  config.num_records = records;
+  config.num_entities = entities;
+  config.seed = 7;
+  return GenerateMovieDataset(config);
+}
+
+Dataset SmallAmbiguous() {
+  AmbiguityGeneratorConfig config;
+  config.num_entities = 100;
+  config.num_decoys = 100;
+  config.seed = 7;
+  return GenerateAmbiguousDataset(config);
+}
+
+// The three perfbench corpora at their small scale, seed 7. The pins
+// were taken before the fixpoint loop's group visit stopped
+// allocating; the counts, the probes and the merge order are the
+// contract that rewrite keeps.
+TEST(EngineCountersTest, GroupVisitCountersArePinned) {
+  const CounterCase cases[] = {
+      {"movies-merge", SmallMovies(200, 15), "jaccard_q2",
+       {726, 139, 57, 922, 0xd67c505344aa8403ull},
+       {671, 146, 10, 4943, 0x1ac03791da838b60ull},
+       {837, 161, 21, 5135, 0x346d3c5beabb323cull},
+       {3094, 137, 50, 3281, 0xad505aa5d4495133ull}},
+      {"ambiguous-join", SmallAmbiguous(), "jaccard_q2",
+       {4950, 5, 295, 5250, 0x78e42a943bb5e5cfull},
+       {5043, 7, 10, 10676, 0x67ad3eb1561bb6d3ull},
+       {5043, 7, 293, 10959, 0x3fa4c674e857c7a5ull},
+       {4950, 5, 295, 5250, 0x5088baf56650fb73ull}},
+      {"movies-edit", SmallMovies(140, 20), "edit",
+       {1862, 95, 31, 1988, 0xc569a6577d50fb85ull},
+       {1624, 84, 10, 8426, 0x2188e9a8ba2279ddull},
+       {2303, 102, 18, 9131, 0xdf567991a531e2dbull},
+       {7819, 94, 31, 7944, 0xc2397dddf21467c1ull}},
+  };
+  constexpr size_t kBudget = 10;
+  constexpr size_t kCap = 40;
+  for (const CounterCase& c : cases) {
+    for (size_t threads : {1u, 4u}) {
+      const std::string where =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      HeraOptions opts;
+      opts.xi = 0.5;
+      opts.delta = 0.5;
+      opts.metric = c.metric;
+      opts.num_threads = threads;
+      opts.collect_report = true;
+      auto full = Hera(opts).Run(c.dataset);
+      ASSERT_TRUE(full.ok()) << where << full.status();
+      EXPECT_EQ(CountsOf(*full), c.full)
+          << where << " full " << ToString(CountsOf(*full));
+
+      HeraOptions cut_opts = opts;
+      cut_opts.progressive = true;
+      cut_opts.checkpoint_dir = std::string(::testing::TempDir()) +
+                                "/engine_counters_" + c.name + "_" +
+                                std::to_string(threads);
+      std::filesystem::remove_all(cut_opts.checkpoint_dir);
+      cut_opts.checkpoint_every = 1;
+      cut_opts.guard.WithMaxVerifications(kBudget);
+      auto cut = Hera(cut_opts).Run(c.dataset);
+      ASSERT_TRUE(cut.ok()) << where << cut.status();
+      ASSERT_EQ(cut->stats.outcome, RunOutcome::kTruncatedBudget) << where;
+      EXPECT_EQ(CountsOf(*cut), c.cut)
+          << where << " cut " << ToString(CountsOf(*cut));
+
+      HeraOptions resume_opts = cut_opts;
+      resume_opts.guard = RunGuard();
+      auto resumed = Hera(resume_opts).Resume(c.dataset);
+      ASSERT_TRUE(resumed.ok()) << where << resumed.status();
+      // The cut reorders the verifications of its pass, and on the
+      // movies corpora the resumed labels differ from the full run's;
+      // the pin holds the resumed run to its own merge order.
+      EXPECT_EQ(resumed->stats.outcome, RunOutcome::kCompleted) << where;
+      EXPECT_EQ(CountsOf(*resumed), c.resumed)
+          << where << " resumed " << ToString(CountsOf(*resumed));
+      std::filesystem::remove_all(cut_opts.checkpoint_dir);
+
+      HeraOptions capped_opts = opts;
+      capped_opts.guard.WithMaxCandidatesPerIteration(kCap);
+      auto capped = Hera(capped_opts).Run(c.dataset);
+      ASSERT_TRUE(capped.ok()) << where << capped.status();
+      EXPECT_GT(capped->stats.deferred_candidate_groups, 0u) << where;
+      EXPECT_EQ(CountsOf(*capped), c.capped)
+          << where << " capped " << ToString(CountsOf(*capped));
+    }
+  }
 }
 
 }  // namespace

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <functional>
 #include <map>
 #include <ranges>
 #include <set>
+#include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -758,6 +762,123 @@ TEST_P(BoundsPropertyTest, BoundsSandwichOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundsPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55));
+
+/// The hash-set ComputeBounds the allocation-free GroupBounds replaced,
+/// kept verbatim as the oracle for it.
+BoundResult ReferenceComputeBounds(const std::vector<IndexedPair>& pairs,
+                                   size_t num_fields_i, size_t num_fields_j,
+                                   bool tight) {
+  BoundResult result;
+  if (pairs.empty()) return result;
+  const double denom =
+      static_cast<double>(std::min(num_fields_i, num_fields_j));
+  assert(denom > 0.0);
+
+  // ---- Step 1: refined field set V' — max-sim value pair per field
+  // pair. Input is sorted by descending sim, so the first pair seen for
+  // a (fid_a, fid_b) combination is the maximum.
+  std::unordered_set<uint64_t> seen_field_pair;
+  seen_field_pair.reserve(pairs.size());
+  for (const IndexedPair& p : pairs) {
+    uint64_t fkey = (static_cast<uint64_t>(p.a.fid) << 32) | p.b.fid;
+    if (seen_field_pair.insert(fkey).second) result.refined.push_back(p);
+  }
+
+  // ---- Step 2: upper bound — Algorithm 1 keeps, for each field of
+  // the left record, the covering pair of maximum similarity (flagU is
+  // keyed on (rid1, fid1)); the matching assigns each left field at
+  // most one pair of at most that similarity, so the sum bounds the
+  // optimum. First occurrence per fid is the max (descending sort).
+  // In tight mode the same sum over the right side also bounds the
+  // optimum and the smaller of the two is used.
+  double up_left = 0.0, up_right = 0.0;
+  std::unordered_set<uint32_t> seen_left, seen_right;
+  for (const IndexedPair& p : result.refined) {
+    if (seen_left.insert(p.a.fid).second) up_left += p.sim;
+    if (seen_right.insert(p.b.fid).second) up_right += p.sim;
+  }
+  result.upper = (tight ? std::min(up_left, up_right) : up_left) / denom;
+
+  // ---- Step 3: lower bound — greedy one-to-one matching in
+  // descending similarity (always an achievable matching).
+  double greedy = 0.0;
+  std::unordered_set<uint32_t> used_left, used_right;
+  for (const IndexedPair& p : result.refined) {
+    if (used_left.count(p.a.fid) || used_right.count(p.b.fid)) continue;
+    used_left.insert(p.a.fid);
+    used_right.insert(p.b.fid);
+    greedy += p.sim;
+  }
+  result.lower = greedy / denom;
+  return result;
+}
+
+std::vector<uint64_t> Pids(const std::vector<IndexedPair>& pairs) {
+  std::vector<uint64_t> pids;
+  for (const IndexedPair& p : pairs) pids.push_back(p.pid);
+  return pids;
+}
+
+// One GroupBounds serves every group of a seed, as in the fixpoint
+// loop, so its marks from earlier groups must never leak into later
+// ones: bounds, V' and the Up-first prune must match the oracle on
+// every group, bit for bit.
+TEST_P(BoundsPropertyTest, GroupBoundsMatchHashSetOracleBitForBit) {
+  Rng rng(GetParam());
+  GroupBounds bounds;
+  std::vector<IndexedPair> refined;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t nl = 1 + rng.Uniform(40), nr = 1 + rng.Uniform(40);
+    const size_t n = 1 + rng.Uniform(200);
+    // Few distinct similarities, so ties are common; the index breaks
+    // them by pid.
+    const size_t levels = 1 + rng.Uniform(12);
+    std::vector<IndexedPair> pairs;
+    for (uint64_t pid = 0; pid < n; ++pid) {
+      const uint32_t fa = static_cast<uint32_t>(rng.Uniform(nl));
+      const uint32_t fb = static_cast<uint32_t>(rng.Uniform(nr));
+      const uint32_t va = static_cast<uint32_t>(rng.Uniform(3));
+      const uint32_t vb = static_cast<uint32_t>(rng.Uniform(3));
+      const double sim =
+          0.3 + 0.7 * static_cast<double>(1 + rng.Uniform(levels)) /
+                    static_cast<double>(levels);
+      pairs.push_back({pid, {0, fa, va}, {1, fb, vb}, sim});
+    }
+    std::sort(pairs.begin(), pairs.end(),
+              [](const IndexedPair& a, const IndexedPair& b) {
+                if (a.sim != b.sim) return a.sim > b.sim;
+                return a.pid < b.pid;
+              });
+    for (bool tight : {false, true}) {
+      const std::string where = "trial " + std::to_string(trial) +
+                                " n=" + std::to_string(n) +
+                                " tight=" + std::to_string(tight);
+      const BoundResult want = ReferenceComputeBounds(pairs, nl, nr, tight);
+      const double upper = bounds.Upper(pairs, nl, nr, tight);
+      const double lower = bounds.Lower(pairs, nl, nr);
+      bounds.Refine(pairs, &refined);
+      EXPECT_EQ(std::bit_cast<uint64_t>(upper),
+                std::bit_cast<uint64_t>(want.upper))
+          << where;
+      EXPECT_EQ(std::bit_cast<uint64_t>(lower),
+                std::bit_cast<uint64_t>(want.lower))
+          << where;
+      EXPECT_EQ(Pids(refined), Pids(want.refined)) << where;
+      for (double delta : {0.1, 0.3, 0.5, 0.7, 0.9, want.upper}) {
+        EXPECT_EQ(upper < delta, want.upper < delta)
+            << where << " delta=" << delta;
+      }
+      const BoundResult wrapped = ComputeBounds(pairs, nl, nr, tight);
+      EXPECT_EQ(std::bit_cast<uint64_t>(wrapped.upper),
+                std::bit_cast<uint64_t>(want.upper))
+          << where;
+      EXPECT_EQ(std::bit_cast<uint64_t>(wrapped.lower),
+                std::bit_cast<uint64_t>(want.lower))
+          << where;
+      EXPECT_EQ(Pids(wrapped.refined), Pids(want.refined)) << where;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace hera

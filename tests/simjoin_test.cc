@@ -539,7 +539,7 @@ std::vector<PinCase> PinCases() {
                    0x3d4aac71185cde66ull, 0xa0a174590b5e1a32ull});
   cases.push_back({"movies edit", Movies(120, 5), "edit", 0.6, 2,
                    0, 0x9eebf56485608799ull, 0x9506ee3e1818a258ull,
-                   0xf12853901e1d4ff3ull, 0x37c0101641602fa8ull});
+                   0xe09575c1b93fba8bull, 0x37c0101641602fa8ull});
   cases.push_back({"publications jaccard_q3", Publications(200, 11),
                    "jaccard_q3", 0.5, 3, 0,
                    0x9002cd18c4146a3dull, 0xb9be53c657c147b6ull,
@@ -551,7 +551,7 @@ std::vector<PinCase> PinCases() {
   cases.push_back({"hybrid numeric_tol window", HybridValues(29),
                    "hybrid(jaccard_q2,numeric_tol30)", 0.6, 2, 0,
                    0x502f5c42224ac2a7ull, 0xc41a75dc0c437f31ull,
-                   0x78f7c2b8641331bcull, 0x3f347f489638299full});
+                   0x64c45146aaf1631cull, 0x3f347f489638299full});
   // The ceiling caps distinct-text entries per posting list, so this
   // case sheds different entries than a per-occurrence ceiling would.
   // It also guards the positional filter's capped-list fallback: once a
@@ -565,18 +565,18 @@ std::vector<PinCase> PinCases() {
                    0x4dd01c7dabfafb75ull, 0x2ad368560a20f325ull});
   cases.push_back({"movies monge_elkan", Movies(120, 3), "monge_elkan", 0.7, 2,
                    0, 0xeae9eb7c0e105ffeull, 0xe233f9d065acaf48ull,
-                   0x52b08575d4bac7b0ull, 0x3e233dae98da4f99ull});
+                   0x58d691519b8dce9cull, 0x3e233dae98da4f99ull});
   cases.push_back({"duplicates jaccard_q2", DuplicateValues(31), "jaccard_q2",
                    0.5, 2, 0,
                    0x3bda150d5cc22814ull, 0xaa4f98815e6417faull,
                    0xcf17f3abc4cf576eull, 0xb928b21108fac1a6ull});
   cases.push_back({"duplicates edit", DuplicateValues(37), "edit", 0.5, 2,
                    0, 0x66f0835bc5d2c5c3ull, 0x0d4d8336eb1b8a56ull,
-                   0xb9985295ff5a5388ull, 0xb1558ed6d15ea72eull});
+                   0xc7a5e9bbe6f3c0a8ull, 0xb1558ed6d15ea72eull});
   cases.push_back({"duplicates monge_elkan", DuplicateValues(41),
                    "monge_elkan", 0.6, 2, 0,
                    0x602a8bbfe4aa1d24ull, 0x34e5630ae83374faull,
-                   0x584224ac53eed5b6ull, 0x680082bb5cf52f84ull});
+                   0xaf3fdfb7d63be816ull, 0x680082bb5cf52f84ull});
   return cases;
 }
 
