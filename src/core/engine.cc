@@ -61,7 +61,7 @@ JoinSetup MakeJoinSetup(const HeraOptions& options,
                         const ValueSimilarity& simv) {
   JoinSetup setup;
   if (options.use_prefix_filter_join) {
-    const int metric_q = GramMetricSize(simv.Name());
+    const int metric_q = simv.Traits().gram_q;
     setup.joiner =
         std::make_unique<PrefixFilterJoin>(metric_q > 0 ? metric_q : 2);
   } else {
@@ -728,8 +728,10 @@ Status ResolutionEngine::IterateToFixpoint() {
       // logged (its deferred groups ride in deferred_after), so stop
       // at this iteration boundary with a truncated outcome. The
       // final snapshot below makes the cut resumable; a resumed run
-      // drains the deferred queue and converges to the same labels as
-      // an uninterrupted one.
+      // drains the deferred queue. Its labels equal an uninterrupted
+      // run's on the ambiguous corpus, not on every corpus: merge order
+      // is not confluent once a cut reorders verification (see
+      // HeraOptions::progressive).
       RaiseOutcome(cut_is_budget ? RunOutcome::kTruncatedBudget
                                  : TruncationOutcome());
       if (trace_) trace_->tracer().Event("truncated", cut_reason);

@@ -140,8 +140,11 @@ struct HeraOptions {
   /// canonical index order, so work shed at the cut is the *least
   /// promising* work. On a cut, unverified groups drain into the
   /// checkpointable deferred queue and the run ends with a truncated
-  /// outcome + final snapshot; `--resume` picks them up and converges
-  /// to the same labels as an uninterrupted run.
+  /// outcome + final snapshot; `--resume` picks them up. A resume with
+  /// the budget lifted reaches the uninterrupted run's labels on the
+  /// ambiguous corpus from every cut tested, but merge order is not
+  /// confluent in general: on 200 movies it ends with other labels
+  /// (EngineCountersTest). ROADMAP item 2's oracle is to settle it.
   /// Ungoverned progressive runs keep canonical order — labels and
   /// merge_sequence stay byte-identical to progressive=false at every
   /// thread count. See docs/operational_limits.md

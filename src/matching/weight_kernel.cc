@@ -1,7 +1,6 @@
 #include "matching/weight_kernel.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/string_metrics.h"
 #include "text/normalize.h"
@@ -14,32 +13,24 @@ namespace {
 /// value universe degrades to pass-through, never unbounded growth.
 constexpr size_t kMaxMemoEntries = 1u << 18;
 
-/// Gram length parsed from a "<kind>_q<N>" (or hybrid-wrapped) metric
-/// name; 0 when the name carries no _q suffix.
-int ParseQ(const std::string& name) {
-  size_t pos = name.rfind("_q");
-  if (pos == std::string::npos) return 0;
-  return std::atoi(name.c_str() + pos + 2);
-}
-
 }  // namespace
 
 BestPairScorer::BestPairScorer(const ValueSimilarity& simv)
-    : simv_(simv), dict_(std::max(1, ParseQ(simv.Name()))) {
-  const std::string name = simv.Name();
-  if (GramMetricKind(name, ParseQ(name), &kind_)) {
+    : simv_(simv), dict_(std::max(1, simv.Traits().gram_q)) {
+  const SimilarityTraits traits = simv.Traits();
+  hybrid_ = traits.numbers != SimilarityTraits::Numbers::kAsText;
+  if (traits.gram_q > 0) {
     kernel_ = true;
-    hybrid_ = name.rfind("hybrid(", 0) == 0;
+    kind_ = traits.set_kind;
     // Empty dictionary: every gram is "unknown" and gets a fresh id on
     // the fly. Ids are insertion-ordered instead of frequency-ordered —
     // irrelevant here, the kernels only need the encoding injective.
     dict_.Freeze();
-  } else if (IsEditMetric(name)) {
+  } else if (traits.edit) {
     // The bounded edit path is exact the same way the set kernels are:
     // NormalizedLevenshteinAtLeast returns the bit-equal score whenever
     // it reaches the floor (sim/string_metrics.h).
     edit_ = true;
-    hybrid_ = name != "edit";
   }
 }
 

@@ -15,10 +15,9 @@
 // Matrix calls are batched: the b side is encoded once per call (one
 // memo lookup per value instead of one per cell) and every row runs
 // through BestSetSimilarityBounded, which ratchets the floor up to the
-// row's running best as cells land. Edit-family metrics (IsEditMetric:
-// "edit", "hybrid(edit)", "hybrid(edit,<numeric>)") get the analogous
-// treatment: the b side is
-// normalized once, then each cell runs the banded Myers kernel through
+// row's running best as cells land. Edit-family metrics get the
+// analogous treatment: the b side is normalized once, then each cell
+// runs the banded Myers kernel through
 // NormalizedLevenshteinAtLeastNormalized with the running best as the
 // floor, so hopeless cells bail on the length/histogram pre-filters
 // without paying any DP.
@@ -47,14 +46,14 @@ namespace hera {
 
 /// \brief Best value-pair similarity with per-cell threshold skipping.
 ///
-/// Detects the set-overlap metric family from `simv.Name()`
-/// (GramMetricKind); eligible metrics score string cells via
-/// SetSimilarityBounded on memoized dictionary encodings. Edit-family
-/// metrics score cells via the banded Myers kernel with length and
-/// histogram pre-filters. Everything else (non-kernel metrics,
-/// number/number cells under a hybrid metric) falls back to
-/// simv.Compute. Not thread-safe: one scorer per resolution loop, like
-/// the metric token caches.
+/// Picks the cell kernel from `simv.Traits()`: a metric that declares
+/// a q-gram set family scores string cells via SetSimilarityBounded on
+/// memoized dictionary encodings at its q; one that declares the edit
+/// family scores them via the banded Myers kernel with length and
+/// histogram pre-filters. Everything else (metrics that declare
+/// neither, number/number cells of a metric with a number rule) falls
+/// back to simv.Compute. Not thread-safe: one scorer per resolution
+/// loop, like the metric token caches.
 class BestPairScorer {
  public:
   explicit BestPairScorer(const ValueSimilarity& simv);

@@ -212,48 +212,4 @@ double BestSetSimilarityBounded(
   return best;
 }
 
-bool GramMetricKind(const std::string& metric_name, int q, SetSimKind* kind) {
-  static constexpr struct {
-    const char* base;
-    SetSimKind kind;
-  } kKinds[] = {
-      {"jaccard", SetSimKind::kJaccard},
-      {"dice", SetSimKind::kDice},
-      {"overlap", SetSimKind::kOverlap},
-      {"cosine", SetSimKind::kCosine},
-  };
-  const std::string suffix = "_q" + std::to_string(q);
-  for (const auto& k : kKinds) {
-    std::string plain = k.base + suffix;
-    if (metric_name == plain || metric_name == "hybrid(" + plain + ")") {
-      *kind = k.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool IsEditMetric(const std::string& metric_name) {
-  return metric_name == "edit" || metric_name == "hybrid(edit)" ||
-         (metric_name.rfind("hybrid(edit,", 0) == 0 &&
-          metric_name.back() == ')');
-}
-
-int GramMetricSize(const std::string& metric_name) {
-  // Parse the "_q<k>" suffix (possibly inside a one-argument hybrid
-  // wrapper) and confirm through GramMetricKind so the two can never
-  // disagree about what counts as gram-family.
-  size_t pos = metric_name.rfind("_q");
-  if (pos == std::string::npos) return 0;
-  int q = 0;
-  for (size_t i = pos + 2;
-       i < metric_name.size() && metric_name[i] >= '0' && metric_name[i] <= '9';
-       ++i) {
-    q = q * 10 + (metric_name[i] - '0');
-    if (q > 64) return 0;
-  }
-  SetSimKind kind;
-  return q > 0 && GramMetricKind(metric_name, q, &kind) ? q : 0;
-}
-
 }  // namespace hera

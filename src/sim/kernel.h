@@ -7,6 +7,12 @@
 // sets, so the hot loop is an integer merge instead of a re-normalize +
 // re-tokenize + string compare per call.
 //
+// Which metrics these kernels stand in for follows from
+// ValueSimilarity::Traits() (sim/similarity.h): a metric that declares
+// gram_q > 0 is scored as its declared SetSimKind at that q. The
+// metric's Name() plays no part, so a custom metric that declares no
+// traits is always scored by its own Compute.
+//
 // Bit-equality contract: the dictionary encoding is injective on grams
 // (unknown grams get fresh ids), so set sizes and intersection sizes
 // are preserved exactly, and each SetSimilarity formula below is the
@@ -45,18 +51,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-namespace hera {
+#include "sim/similarity.h"
 
-/// The set-overlap similarity family computable on encoded gram sets.
-enum class SetSimKind {
-  kJaccard,  // |a∩b| / |a∪b|
-  kDice,     // 2|a∩b| / (|a| + |b|)
-  kOverlap,  // |a∩b| / min(|a|, |b|)
-  kCosine,   // |a∩b| / sqrt(|a| |b|)
-};
+namespace hera {
 
 /// The exact similarity of `kind` for intersection size `inter` of
 /// sets of sizes `na` and `nb`, both > 0. Every score in this file and
@@ -127,27 +126,6 @@ double SetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
 double BestSetSimilarityBounded(SetSimKind kind, const std::vector<uint32_t>& a,
                                 const std::vector<const std::vector<uint32_t>*>& bs,
                                 double floor);
-
-/// Maps a metric name (ValueSimilarity::Name()) to its set kind when
-/// the metric is a q-gram set similarity with gram length `q` —
-/// "jaccard_q<q>", "dice_q<q>", "overlap_q<q>", "cosine_q<q>", or the
-/// same wrapped as "hybrid(<kind>_q<q>)". Returns false otherwise
-/// (different q, edit/Jaro/TF-IDF families, two-argument hybrids).
-bool GramMetricKind(const std::string& metric_name, int q, SetSimKind* kind);
-
-/// True when a metric name (ValueSimilarity::Name()) scores strings by
-/// normalized Levenshtein — "edit", "hybrid(edit)" or
-/// "hybrid(edit,<numeric>)" — so a caller holding Normalize()d text may
-/// score string cells with NormalizedLevenshteinAtLeastNormalized
-/// (sim/string_metrics.h), bit-equal wherever it reaches its floor.
-bool IsEditMetric(const std::string& metric_name);
-
-/// The gram length of a gram-family metric name — the q at which
-/// GramMetricKind matches — or 0 for non-gram metrics (edit, Jaro,
-/// TF-IDF, two-argument hybrids). Join construction uses this to index
-/// at the metric's own gram size instead of assuming q = 2, which is
-/// what arms the encoded-kernel verify path for q != 2 metrics.
-int GramMetricSize(const std::string& metric_name);
 
 }  // namespace hera
 

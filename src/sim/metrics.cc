@@ -168,6 +168,18 @@ std::string HybridSimilarity::Name() const {
   return "hybrid(" + string_metric_->Name() + ")";
 }
 
+SimilarityTraits HybridSimilarity::Traits() const {
+  const SimilarityTraits numeric =
+      numeric_metric_ ? numeric_metric_->Traits() : default_numeric_.Traits();
+  // A numeric metric that declares no number rule scores number pairs
+  // some other way than the string metric: assume nothing.
+  if (numeric.numbers == SimilarityTraits::Numbers::kAsText) return {};
+  SimilarityTraits traits = string_metric_->Traits();
+  traits.numbers = numeric.numbers;
+  traits.tolerance = numeric.tolerance;
+  return traits;
+}
+
 ValueSimilarityPtr MakeSimilarity(const std::string& name) {
   auto parse_q = [](const std::string& s, const char* prefix) -> int {
     int q = 0;
@@ -231,6 +243,11 @@ ValueSimilarityPtr MakeSimilarity(const std::string& name) {
                                               std::move(numeric_metric));
   }
   return nullptr;
+}
+
+int GramMetricSize(const std::string& name) {
+  ValueSimilarityPtr metric = MakeSimilarity(name);
+  return metric ? metric->Traits().gram_q : 0;
 }
 
 }  // namespace hera

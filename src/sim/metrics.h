@@ -28,6 +28,9 @@ class JaccardSimilarity : public ValueSimilarity {
   explicit JaccardSimilarity(int q = 2);
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override;
+  SimilarityTraits Traits() const override {
+    return {.gram_q = q_, .set_kind = SetSimKind::kJaccard};
+  }
   int q() const { return q_; }
 
  private:
@@ -40,6 +43,7 @@ class EditSimilarity : public ValueSimilarity {
  public:
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override { return "edit"; }
+  SimilarityTraits Traits() const override { return {.edit = true}; }
 };
 
 /// Jaro–Winkler.
@@ -55,6 +59,9 @@ class CosineSimilarity : public ValueSimilarity {
   explicit CosineSimilarity(int q = 2);
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override;
+  SimilarityTraits Traits() const override {
+    return {.gram_q = q_, .set_kind = SetSimKind::kCosine};
+  }
 
  private:
   int q_;
@@ -67,6 +74,9 @@ class DiceSimilarity : public ValueSimilarity {
   explicit DiceSimilarity(int q = 2);
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override;
+  SimilarityTraits Traits() const override {
+    return {.gram_q = q_, .set_kind = SetSimKind::kDice};
+  }
 
  private:
   int q_;
@@ -79,6 +89,9 @@ class OverlapSimilarity : public ValueSimilarity {
   explicit OverlapSimilarity(int q = 2);
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override;
+  SimilarityTraits Traits() const override {
+    return {.gram_q = q_, .set_kind = SetSimKind::kOverlap};
+  }
 
  private:
   int q_;
@@ -111,6 +124,9 @@ class NumericSimilarity : public ValueSimilarity {
  public:
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override { return "numeric"; }
+  SimilarityTraits Traits() const override {
+    return {.numbers = SimilarityTraits::Numbers::kRelative};
+  }
 };
 
 /// \brief Absolute-tolerance similarity for identifier-like numbers
@@ -122,6 +138,10 @@ class ScaledNumericSimilarity : public ValueSimilarity {
   explicit ScaledNumericSimilarity(double tolerance) : tolerance_(tolerance) {}
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override;
+  SimilarityTraits Traits() const override {
+    return {.numbers = SimilarityTraits::Numbers::kAbsolute,
+            .tolerance = tolerance_};
+  }
   double tolerance() const { return tolerance_; }
 
  private:
@@ -142,6 +162,9 @@ class HybridSimilarity : public ValueSimilarity {
         numeric_metric_(std::move(numeric_metric)) {}
   double Compute(const Value& a, const Value& b) const override;
   std::string Name() const override;
+  /// The string metric's family with the numeric metric's number
+  /// rule; the default traits when the numeric metric declares none.
+  SimilarityTraits Traits() const override;
 
  private:
   ValueSimilarityPtr string_metric_;
@@ -155,6 +178,12 @@ class HybridSimilarity : public ValueSimilarity {
 /// "hybrid(<string>,<numeric>)". Returns nullptr for unknown names
 /// (Soft TF-IDF needs a corpus model and cannot be built by name).
 ValueSimilarityPtr MakeSimilarity(const std::string& name);
+
+/// The gram length MakeSimilarity(name) declares in its Traits(), or 0
+/// for an unknown name or a metric outside the q-gram set family.
+/// Remains only for perfbench's traced run, which still calls it, until
+/// a benchmark change drops the call.
+int GramMetricSize(const std::string& name);
 
 }  // namespace hera
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <numeric>
@@ -13,7 +12,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/string_util.h"
 #include "parallel/parallel_for.h"
 #include "sim/kernel.h"
 #include "sim/string_metrics.h"
@@ -141,13 +139,9 @@ size_t NumChunks(size_t n, size_t grain) {
   return n == 0 ? 0 : (n + grain - 1) / grain;
 }
 
-/// True when `simv` is q-gram Jaccard, so the prefix filter is exact
-/// and verification can run on the encoded token sets directly.
-bool IsJaccardMetric(const ValueSimilarity& simv, int q) {
-  std::string name = simv.Name();
-  std::string expect = "jaccard_q" + std::to_string(q);
-  return name == expect || name == "hybrid(" + expect + ")";
-}
+/// Scales the prefix filter's threshold for a metric that does not
+/// declare q-gram Jaccard at the join's q (heuristic blocking).
+constexpr double kFilterSlack = 0.7;
 
 /// How a join verifies the candidates the filters let through.
 struct VerifyPlan {
@@ -156,8 +150,8 @@ struct VerifyPlan {
   /// sim/kernel.h).
   bool use_kernel = false;
   SetSimKind kind = SetSimKind::kJaccard;
-  /// Edit-family metric (IsEditMetric): score the distinct texts'
-  /// normalized forms with the floor-aware banded Levenshtein.
+  /// Edit-family metric: score the distinct texts' normalized forms
+  /// with the floor-aware banded Levenshtein.
   bool edit = false;
 };
 
@@ -242,21 +236,17 @@ class ProbeBits {
   std::vector<size_t> alpha_probe_;
 };
 
-/// The verifier follows from the metric's name alone: the probe bitmap
-/// (ProbeBits) for a q-gram set metric with the join's q, the banded
-/// Levenshtein on normalized text for the edit family, and
-/// simv.Compute otherwise.
-/// Every non-Compute choice returns the metric's bit-equal score
-/// whenever it reaches xi, so the plan never changes which pairs are
-/// emitted or their sims.
-VerifyPlan MakeVerifyPlan(const ValueSimilarity& simv, int q) {
+/// The verifier follows from the metric's Traits() alone: the probe
+/// bitmap (ProbeBits) for a q-gram set metric with the join's q, the
+/// banded Levenshtein on normalized text for the edit family, and
+/// simv.Compute otherwise. Every non-Compute choice returns the
+/// metric's bit-equal score whenever it reaches xi, so the plan never
+/// changes which pairs are emitted or their sims.
+VerifyPlan MakeVerifyPlan(const SimilarityTraits& traits, int q) {
   VerifyPlan plan;
-  SetSimKind kind;
-  if (GramMetricKind(simv.Name(), q, &kind)) {
-    plan.use_kernel = true;
-    plan.kind = kind;
-  }
-  plan.edit = IsEditMetric(simv.Name());
+  plan.use_kernel = traits.gram_q == q;
+  plan.kind = traits.set_kind;
+  plan.edit = traits.edit;
   return plan;
 }
 
@@ -276,24 +266,17 @@ double VerifyStringPair(const VerifyPlan& plan, const ValueSimilarity& simv,
   return simv.Compute(va, vb);
 }
 
-/// True when `simv` scores two numbers by value, so numbers take the
-/// numeric sweep instead of the token path.
-bool MetricHandlesNumbers(const ValueSimilarity& simv) {
-  const std::string name = simv.Name();
-  return StartsWith(name, "hybrid(") || name == "numeric";
-}
-
-/// The numeric sweep's search window, derived from the metric name so
-/// the filter stays exact for both built-in numeric semantics: relative
-/// difference, sim >= xi iff |y - x| <= (1 - xi) * max(|x|, |y|), and
-/// absolute tolerance, |y - x| <= (1 - xi) * tol. The window is a
+/// The numeric sweep's search window for a metric that declares how it
+/// scores numbers, exact for both rules: relative difference, sim >= xi
+/// iff |y - x| <= (1 - xi) * max(|x|, |y|), and absolute tolerance,
+/// |y - x| <= (1 - xi) * tol. The window is a
 /// pruning device only (the metric makes the final call), so it is
 /// epsilon-relaxed: computing 1 - xi in floating point could otherwise
 /// exclude exact-boundary pairs (sim == xi).
 struct NumericWindow {
-  bool absolute = false;
-  double tol = 0.0;
-  double slack = 0.0;  // 1 - xi.
+  bool absolute;
+  double tol;
+  double slack;  // 1 - xi.
 
   bool Contains(double x, double y) const {
     const double gap = std::fabs(y - x);
@@ -311,18 +294,6 @@ struct NumericWindow {
     return absolute || (dir > 0 ? y > 0 : y < 0);
   }
 };
-
-NumericWindow NumericWindowFor(const ValueSimilarity& simv, double xi) {
-  NumericWindow w;
-  w.slack = 1.0 - xi;
-  std::string name = simv.Name();
-  size_t pos = name.find("numeric_tol");
-  if (pos != std::string::npos) {
-    w.absolute = true;
-    w.tol = std::atof(name.c_str() + pos + 11);
-  }
-  return w;
-}
 
 /// Prefix length for the AllPairs filter at threshold filter_xi.
 size_t PrefixLen(size_t len, double filter_xi) {
@@ -671,11 +642,13 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   std::atomic<bool> stop{false};
   JoinCounters totals;
 
-  // Partition: numbers go to the sweep when the metric scores them by
-  // value; every other non-null value takes the token path over its
-  // canonical string rendering. The token path holds the base's values
-  // first, then the probe's.
-  const bool sweep_numbers = MetricHandlesNumbers(simv);
+  // Partition: numbers go to the sweep when the metric declares a rule
+  // for scoring them by value; every other non-null value takes the
+  // token path over its canonical string rendering. The token path
+  // holds the base's values first, then the probe's.
+  const SimilarityTraits traits = simv.Traits();
+  const bool sweep_numbers =
+      traits.numbers != SimilarityTraits::Numbers::kAsText;
   std::vector<const LabeledValue*> base_nums, probe_nums, texts;
   auto partition = [&](const std::vector<LabeledValue>& values,
                        std::vector<const LabeledValue*>* nums) {
@@ -702,7 +675,9 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
             });
   const std::vector<const LabeledValue*>& num_probes =
       self ? base_nums : probe_nums;
-  const NumericWindow window = NumericWindowFor(simv, xi);
+  const NumericWindow window{
+      traits.numbers == SimilarityTraits::Numbers::kAbsolute,
+      traits.tolerance, 1.0 - xi};
   {
     const size_t n = num_probes.size();
     const size_t grain = DefaultGrain(n, nworkers);
@@ -769,11 +744,12 @@ Status PrefixFilterJoin::Probe(const std::vector<LabeledValue>* probe,
   // value once, and the expansion at the end turns the similar distinct
   // pairs back into occurrence pairs, in the order a join over the
   // occurrences themselves would emit them (docs/performance.md).
-  const bool exact_jaccard = IsJaccardMetric(simv, q_);
-  const VerifyPlan plan = MakeVerifyPlan(simv, q_);
+  const VerifyPlan plan = MakeVerifyPlan(traits, q_);
+  const bool exact_jaccard =
+      plan.use_kernel && plan.kind == SetSimKind::kJaccard;
   // For non-Jaccard metrics the gram filter is only a blocker; run it
   // at a slackened threshold so near-threshold true pairs survive.
-  const double filter_xi = exact_jaccard ? xi : xi * filter_slack_;
+  const double filter_xi = exact_jaccard ? xi : xi * kFilterSlack;
   const DistinctValues distinct = Intern(texts);
   const size_t nd = distinct.value.size();
 

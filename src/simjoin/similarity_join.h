@@ -215,12 +215,14 @@ class NestedLoopJoin : public SimilarityJoin {
 /// and shared with the positional filter. When no posting list is
 /// capped, the scan starts after the pair's first shared prefix token,
 /// which it counts, since no token below it can be shared; with a
-/// capped list it reads the whole candidate. The edit family
-/// (IsEditMetric) is verified with the floor-aware banded Levenshtein
-/// on the normalized distinct texts, and any other metric with
-/// simv.Compute. Which of the three a join uses follows from the
-/// metric's name alone; the first two return the metric's bit-equal
-/// score whenever it reaches ξ, so the choice never changes the output.
+/// capped list it reads the whole candidate. The edit family is
+/// verified with the floor-aware banded Levenshtein on the normalized
+/// distinct texts, and any other metric with simv.Compute. Which of the
+/// three a join uses follows from the metric's Traits() alone
+/// (sim/similarity.h), never from its Name(): a custom metric that
+/// declares no traits is verified by its own Compute. The first two
+/// return the metric's bit-equal score whenever it reaches ξ, so the
+/// choice never changes the output.
 ///
 /// Both entry points run one pipeline: a numeric sweep, then the token
 /// path over each distinct value: interning, tokenizing, a dictionary
@@ -254,20 +256,23 @@ class NestedLoopJoin : public SimilarityJoin {
 /// counts. The guard's max_posting_list ceiling caps distinct-text
 /// entries per list.
 ///
-/// The filter stack is *exact* (no false negatives) when the metric is
-/// q-gram Jaccard with the same q — HERA's default; the positional
-/// filter applies only then. For other string metrics the prefix
-/// threshold is scaled down by `filter_slack` (candidate generation
-/// becomes heuristic blocking; verification still yields the true
-/// metric's score). Numeric values are joined by a sorted sweep, exact for the
-/// relative-difference and absolute-tolerance numeric similarities.
+/// The filter stack is *exact* (no false negatives) when the metric
+/// declares q-gram Jaccard with the join's q — HERA's default; the
+/// positional filter applies only then. For every other metric the
+/// prefix threshold is scaled down by a fixed slack of 0.7 (candidate
+/// generation becomes heuristic blocking; verification still yields the
+/// true metric's score). Numbers are joined by a sorted sweep when the
+/// metric declares a number rule, inside the window that rule implies
+/// (relative difference or absolute tolerance), which is exact for
+/// number pairs; a metric that declares none has its numbers joined as
+/// text. The sweep never pairs a number with a string, which a hybrid's
+/// string metric may score above ξ.
 class PrefixFilterJoin : public SimilarityJoin {
  public:
   using SimilarityJoin::Join;
   using SimilarityJoin::JoinAB;
 
-  explicit PrefixFilterJoin(int q = 2, double filter_slack = 0.7)
-      : q_(q), filter_slack_(filter_slack) {}
+  explicit PrefixFilterJoin(int q = 2) : q_(q) {}
 
   /// Gram length of the filter's tokenization.
   int q() const { return q_; }
@@ -281,9 +286,9 @@ class PrefixFilterJoin : public SimilarityJoin {
   /// run until a benchmark change drops the call.
   void SetIndexBackend(IndexBackend /*backend*/, size_t /*pipeline_depth*/) {}
 
-  /// Ignored: every q-gram set metric (Jaccard / Dice / overlap /
-  /// cosine with matching q) is verified on the integer-encoded gram
-  /// sets (sim/kernel.h). Remains only for perfbench's traced run,
+  /// Ignored: every metric that declares a q-gram set family with the
+  /// join's q is verified on the integer-encoded gram sets
+  /// (sim/kernel.h). Remains only for perfbench's traced run,
   /// which still calls it, until a benchmark change drops the call.
   void SetEncodedKernels(bool /*enabled*/) {}
 
@@ -294,7 +299,7 @@ class PrefixFilterJoin : public SimilarityJoin {
 
   /// Probe-vs-base join: the base's tokens are fully indexed, probes
   /// search with their prefix tokens plus a two-sided length filter —
-  /// exact (no false negatives) for the Jaccard metric.
+  /// exact (no false negatives) for a metric that declares Jaccard.
   Status JoinAB(const std::vector<LabeledValue>& probe,
                 const std::vector<LabeledValue>& base,
                 const ValueSimilarity& simv, double xi, const RunGuard& guard,
@@ -310,7 +315,6 @@ class PrefixFilterJoin : public SimilarityJoin {
                std::vector<ValuePair>* out, JoinReport* report) const;
 
   int q_;
-  double filter_slack_;
 };
 
 }  // namespace hera

@@ -2,9 +2,9 @@
 // the invariants the join and engine build on them: every kernel score
 // is bit-equal to the string-path metric, the threshold-bounded forms
 // never change which pairs survive, the join's output matches the
-// metric path (the same metric under a name the kernels do not
-// recognize), and labels and merge sequences are byte-identical at
-// every thread count.
+// metric path (the same metric wrapped so that it declares no family),
+// and labels and merge sequences are byte-identical at every thread
+// count.
 
 #include "sim/kernel.h"
 
@@ -32,6 +32,7 @@
 #include "sim/metrics.h"
 #include "simjoin/similarity_join.h"
 #include "text/normalize.h"
+#include "testing_util.h"
 #include "text/qgram.h"
 
 namespace hera {
@@ -374,8 +375,9 @@ TEST(KernelBitEqualityTest, KernelScoresMatchStringMetricsExactly) {
       std::string name = std::string(bases[k]) + "_q" + std::to_string(q);
       auto metric = MakeSimilarity(name);
       ASSERT_NE(metric, nullptr) << name;
-      SetSimKind kind;
-      ASSERT_TRUE(GramMetricKind(metric->Name(), q, &kind)) << name;
+      const SimilarityTraits traits = metric->Traits();
+      ASSERT_EQ(traits.gram_q, q) << name;
+      const SetSimKind kind = traits.set_kind;
 
       std::vector<std::string> corpus = TestCorpus();
       // Dictionary built from only half the corpus, so the other half
@@ -402,22 +404,57 @@ TEST(KernelBitEqualityTest, KernelScoresMatchStringMetricsExactly) {
   }
 }
 
-TEST(KernelBitEqualityTest, GramMetricKindRecognizesExactlyTheKernelFamily) {
-  SetSimKind kind;
-  EXPECT_TRUE(GramMetricKind("jaccard_q2", 2, &kind));
-  EXPECT_EQ(kind, SetSimKind::kJaccard);
-  EXPECT_TRUE(GramMetricKind("hybrid(dice_q3)", 3, &kind));
-  EXPECT_EQ(kind, SetSimKind::kDice);
-  EXPECT_TRUE(GramMetricKind("overlap_q1", 1, &kind));
-  EXPECT_EQ(kind, SetSimKind::kOverlap);
-  EXPECT_TRUE(GramMetricKind("cosine_q2", 2, &kind));
-  EXPECT_EQ(kind, SetSimKind::kCosine);
-  // q mismatch, non-set metrics, and two-argument hybrids are rejected.
-  EXPECT_FALSE(GramMetricKind("jaccard_q3", 2, &kind));
-  EXPECT_FALSE(GramMetricKind("edit", 2, &kind));
-  EXPECT_FALSE(GramMetricKind("jaro_winkler", 2, &kind));
-  EXPECT_FALSE(GramMetricKind("hybrid(jaccard_q2,numeric)", 2, &kind));
-  EXPECT_FALSE(GramMetricKind("jaccard_q22", 2, &kind));
+TEST(KernelBitEqualityTest, TraitsDeclareExactlyTheKernelFamily) {
+  using Numbers = SimilarityTraits::Numbers;
+  struct Case {
+    const char* name;
+    int gram_q;
+    SetSimKind kind;
+    bool edit;
+    Numbers numbers;
+    double tolerance;
+  };
+  const SetSimKind kJ = SetSimKind::kJaccard;
+  for (const Case& c : {
+           Case{"jaccard_q2", 2, kJ, false, Numbers::kAsText, 0.0},
+           Case{"jaccard_q3", 3, kJ, false, Numbers::kAsText, 0.0},
+           Case{"hybrid(dice_q3)", 3, SetSimKind::kDice, false,
+                Numbers::kRelative, 0.0},
+           Case{"overlap_q1", 1, SetSimKind::kOverlap, false, Numbers::kAsText,
+                0.0},
+           Case{"cosine_q2", 2, SetSimKind::kCosine, false, Numbers::kAsText,
+                0.0},
+           Case{"hybrid(jaccard_q2,numeric)", 2, kJ, false, Numbers::kRelative,
+                0.0},
+           Case{"hybrid(jaccard_q2,numeric_tol30)", 2, kJ, false,
+                Numbers::kAbsolute, 30.0},
+           Case{"edit", 0, kJ, true, Numbers::kAsText, 0.0},
+           Case{"hybrid(edit,numeric_tol30)", 0, kJ, true, Numbers::kAbsolute,
+                30.0},
+           Case{"numeric", 0, kJ, false, Numbers::kRelative, 0.0},
+           Case{"numeric_tol30", 0, kJ, false, Numbers::kAbsolute, 30.0},
+           // The default numeric metric, not the string metric, scores
+           // a one-argument hybrid's numbers.
+           Case{"hybrid(numeric_tol30)", 0, kJ, false, Numbers::kRelative, 0.0},
+           Case{"jaro_winkler", 0, kJ, false, Numbers::kAsText, 0.0},
+           Case{"monge_elkan", 0, kJ, false, Numbers::kAsText, 0.0},
+           // A numeric metric without a number rule: assume nothing.
+           Case{"hybrid(jaccard_q2,edit)", 0, kJ, false, Numbers::kAsText,
+                0.0},
+       }) {
+    auto metric = MakeSimilarity(c.name);
+    ASSERT_NE(metric, nullptr) << c.name;
+    const SimilarityTraits t = metric->Traits();
+    EXPECT_EQ(t.gram_q, c.gram_q) << c.name;
+    if (c.gram_q > 0) {
+      EXPECT_EQ(t.set_kind, c.kind) << c.name;
+    }
+    EXPECT_EQ(t.edit, c.edit) << c.name;
+    EXPECT_EQ(t.numbers, c.numbers) << c.name;
+    if (c.numbers == Numbers::kAbsolute) {
+      EXPECT_EQ(t.tolerance, c.tolerance) << c.name;
+    }
+  }
 }
 
 TEST(KernelBitEqualityTest, GramMetricSizeParsesExactlyTheKernelFamily) {
@@ -429,7 +466,8 @@ TEST(KernelBitEqualityTest, GramMetricSizeParsesExactlyTheKernelFamily) {
   // Non-gram families and malformed suffixes map to 0.
   EXPECT_EQ(GramMetricSize("edit"), 0);
   EXPECT_EQ(GramMetricSize("jaro_winkler"), 0);
-  EXPECT_EQ(GramMetricSize("hybrid(jaccard_q2,numeric)"), 0);
+  // A two-argument hybrid declares its string metric's gram length.
+  EXPECT_EQ(GramMetricSize("hybrid(jaccard_q2,numeric)"), 2);
   EXPECT_EQ(GramMetricSize("jaccard_q"), 0);
   EXPECT_EQ(GramMetricSize("jaccard_q0"), 0);
   EXPECT_EQ(GramMetricSize("soft_tfidf_q2"), 0);  // Not a kernel metric.
@@ -450,11 +488,11 @@ TEST(KernelBitEqualityTest, NewMetricRegistryEntriesResolve) {
 
 // --------------------------------------------- join-level equivalence
 
-/// Test oracle for the kernel paths: forwards Compute to a real metric
-/// under a name that GramMetricKind and the join's Jaccard check do not
-/// recognize, so PrefixFilterJoin and BestPairScorer score every
-/// candidate with the metric itself. A "hybrid(" prefix survives, so
-/// numbers still take the numeric sweep.
+/// Test oracle for the kernel paths: forwards Compute and Name() to a
+/// real metric but declares no string family, so PrefixFilterJoin and
+/// BestPairScorer score every candidate with the metric itself. It
+/// keeps the metric's number rule, so numbers still take the numeric
+/// sweep.
 class MetricPathSimilarity : public ValueSimilarity {
  public:
   explicit MetricPathSimilarity(ValueSimilarityPtr inner)
@@ -462,8 +500,13 @@ class MetricPathSimilarity : public ValueSimilarity {
   double Compute(const Value& a, const Value& b) const override {
     return inner_->Compute(a, b);
   }
-  std::string Name() const override {
-    return inner_->Name() + " [metric path]";
+  std::string Name() const override { return inner_->Name(); }
+  SimilarityTraits Traits() const override {
+    const SimilarityTraits inner = inner_->Traits();
+    SimilarityTraits traits;
+    traits.numbers = inner.numbers;
+    traits.tolerance = inner.tolerance;
+    return traits;
   }
 
  private:
@@ -534,7 +577,7 @@ TEST(KernelJoinTest, KernelTogglePreservesJoinOutputForEveryGramMetric) {
         join.Join(values, oracle, 0.5, RunGuard(), &metric_path).ok());
     ASSERT_FALSE(kernel.empty()) << name;
     if (std::string(name).find("jaccard") != std::string::npos) {
-      // The oracle is not recognized as Jaccard, so it blocks at the
+      // The oracle declares no Jaccard family, so it blocks at the
       // slackened prefix without the positional filter: same
       // pairs, possibly found in another order.
       EXPECT_EQ(CanonicalPairs(kernel), CanonicalPairs(metric_path)) << name;
@@ -717,11 +760,15 @@ TEST(KernelJoinTest, ProbeBitmapVerifyMatchesMetricPathBitForBit) {
   // The kernel plan scores candidates against the probe's dictionary
   // bitmap, starting after the first shared prefix token when no
   // posting list is capped and at the candidate's first token when one
-  // is. The oracle scores every candidate with simv.Compute behind the
-  // same lists: for Jaccard its join runs without filter slack, so the
-  // prefixes match and the positional filter (Jaccard only) is the one
-  // filter it lacks. Emission order, sims (bitwise) and the work
-  // counters must agree, with and without a posting ceiling.
+  // is. The oracle scores every candidate with simv.Compute. For Dice,
+  // overlap and cosine it runs behind the same lists, so emission
+  // order, sims (bitwise) and the work counters must agree, with and
+  // without a posting ceiling. For Jaccard it blocks at the slackened
+  // prefix without the positional filter: uncapped, it still finds
+  // each similar pair at the pair's rarest shared token, so emission
+  // order and sims agree while it verifies more candidates; capped, its
+  // longer prefixes fill the lists with other entries, so the kernel's
+  // pairs are checked against the nested-loop join instead.
   struct Corpus {
     const char* name;
     std::vector<LabeledValue> values;
@@ -755,9 +802,7 @@ TEST(KernelJoinTest, ProbeBitmapVerifyMatchesMetricPathBitForBit) {
           std::unique_ptr<ThreadPool> pool;
           if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
           PrefixFilterJoin join(mc.q);
-          PrefixFilterJoin oracle_join(mc.q, jaccard ? 1.0 : 0.7);
           join.SetExecutor(pool.get());
-          oracle_join.SetExecutor(pool.get());
           for (bool ab : {false, true}) {
             const std::string where =
                 std::string(corpus.name) + " " + mc.metric +
@@ -770,24 +815,40 @@ TEST(KernelJoinTest, ProbeBitmapVerifyMatchesMetricPathBitForBit) {
               ASSERT_TRUE(join.JoinAB(probe, base, *metric, 0.5, guard, &got,
                                       &got_report)
                               .ok());
-              ASSERT_TRUE(oracle_join
-                              .JoinAB(probe, base, oracle, 0.5, guard, &want,
+              ASSERT_TRUE(join.JoinAB(probe, base, oracle, 0.5, guard, &want,
                                       &want_report)
                               .ok());
             } else {
               ASSERT_TRUE(join.Join(corpus.values, *metric, 0.5, guard, &got,
                                     &got_report)
                               .ok());
-              ASSERT_TRUE(oracle_join
-                              .Join(corpus.values, oracle, 0.5, guard, &want,
+              ASSERT_TRUE(join.Join(corpus.values, oracle, 0.5, guard, &want,
                                     &want_report)
                               .ok());
             }
             ASSERT_FALSE(want.empty()) << where;
             EXPECT_EQ(max_posting > 0, got_report.shed_posting_entries > 0)
                 << where;
+            if (jaccard && max_posting > 0) {
+              std::vector<ValuePair> all;
+              NestedLoopJoin nested;
+              ASSERT_TRUE((ab ? nested.JoinAB(probe, base, *metric, 0.5,
+                                              RunGuard(), &all)
+                              : nested.Join(corpus.values, *metric, 0.5,
+                                            RunGuard(), &all))
+                              .ok());
+              const std::vector<PairTuple> found = CanonicalPairs(got);
+              const std::vector<PairTuple> similar = CanonicalPairs(all);
+              ASSERT_FALSE(found.empty()) << where;
+              EXPECT_TRUE(std::includes(similar.begin(), similar.end(),
+                                        found.begin(), found.end()))
+                  << where;
+              continue;
+            }
             EXPECT_EQ(AsTuples(got), AsTuples(want)) << where;
             EXPECT_EQ(got_report.emitted, want_report.emitted) << where;
+            EXPECT_EQ(got_report.distinct_emitted, want_report.distinct_emitted)
+                << where;
             if (!jaccard) {
               EXPECT_EQ(got_report.pruned_positional, 0u) << where;
             }
@@ -799,10 +860,13 @@ TEST(KernelJoinTest, ProbeBitmapVerifyMatchesMetricPathBitForBit) {
                 got_report.verified + got_report.pruned_positional;
             // The self-join's second orientation of an equal-size pair
             // is counted by neither plan.
-            EXPECT_EQ(got_candidates, want_report.candidates) << where;
-            EXPECT_EQ(got_verified, want_report.verified) << where;
-            EXPECT_EQ(got_report.distinct_emitted, want_report.distinct_emitted)
-                << where;
+            if (jaccard) {
+              EXPECT_LT(got_candidates, want_report.candidates) << where;
+              EXPECT_LT(got_verified, want_report.verified) << where;
+            } else {
+              EXPECT_EQ(got_candidates, want_report.candidates) << where;
+              EXPECT_EQ(got_verified, want_report.verified) << where;
+            }
           }
         }
       }
@@ -997,30 +1061,48 @@ TEST(BestPairScorerTest, ExactWheneverMaxReachesFloor) {
 }
 
 TEST(BestPairScorerTest, KernelDetectionMatchesTheMetricFamily) {
-  EXPECT_TRUE(BestPairScorer(*MakeSimilarity("jaccard_q2")).kernel_active());
-  EXPECT_TRUE(BestPairScorer(*MakeSimilarity("cosine_q3")).kernel_active());
-  EXPECT_TRUE(
-      BestPairScorer(*MakeSimilarity("hybrid(dice_q2)")).kernel_active());
-  EXPECT_FALSE(BestPairScorer(*MakeSimilarity("edit")).kernel_active());
-  EXPECT_FALSE(BestPairScorer(*MakeSimilarity("jaro_winkler")).kernel_active());
-  // Edit-family metrics take the bounded Myers path instead.
-  EXPECT_TRUE(BestPairScorer(*MakeSimilarity("edit")).edit_active());
-  EXPECT_TRUE(BestPairScorer(*MakeSimilarity("hybrid(edit)")).edit_active());
-  EXPECT_TRUE(BestPairScorer(*MakeSimilarity("hybrid(edit,numeric_tol30)"))
-                  .edit_active());
-  EXPECT_FALSE(BestPairScorer(*MakeSimilarity("jaccard_q2")).edit_active());
-  EXPECT_FALSE(
-      BestPairScorer(*MakeSimilarity("hybrid(jaccard_q2,numeric_tol30)"))
-          .edit_active());
-  EXPECT_FALSE(IsEditMetric("edit [metric path]"));
-  EXPECT_FALSE(IsEditMetric("hybrid(edit"));
-  EXPECT_FALSE(IsEditMetric("jaro_winkler"));
+  // The scorer's path follows the metric's declared traits: the set
+  // kernel for a q-gram set family, the bounded Myers path for the edit
+  // family, simv.Compute otherwise.
+  for (const char* name :
+       {"jaccard_q2", "cosine_q3", "hybrid(dice_q2)",
+        "hybrid(jaccard_q2,numeric_tol30)", "edit", "hybrid(edit)",
+        "hybrid(edit,numeric_tol30)", "jaro_winkler", "monge_elkan",
+        "numeric_tol30", "hybrid(jaccard_q2,edit)"}) {
+    auto simv = MakeSimilarity(name);
+    ASSERT_NE(simv, nullptr) << name;
+    const SimilarityTraits traits = simv->Traits();
+    BestPairScorer scorer(*simv);
+    EXPECT_EQ(scorer.kernel_active(), traits.gram_q > 0) << name;
+    EXPECT_EQ(scorer.edit_active(), traits.edit) << name;
+  }
+  // A metric that declares nothing is scored by Compute, whatever its
+  // name says, and its best pair is exactly a Compute loop's.
+  const testing_util::SquaredJaccardNamedJaccard black_box;
+  BestPairScorer scorer(black_box);
+  EXPECT_FALSE(scorer.kernel_active());
+  EXPECT_FALSE(scorer.edit_active());
+  const MetricPathSimilarity edit_path(MakeSimilarity("edit"));
+  EXPECT_FALSE(BestPairScorer(edit_path).kernel_active());
+  EXPECT_FALSE(BestPairScorer(edit_path).edit_active());
+  const std::vector<std::string> corpus = TestCorpus();
+  std::mt19937 rng(17);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Value> a = RandomValues(&rng, corpus, 1 + rng() % 6);
+    std::vector<Value> b = RandomValues(&rng, corpus, 1 + rng() % 6);
+    const double want = BruteBest(a, b, black_box);
+    for (double floor : {0.0, 0.3, 0.5, 0.9}) {
+      EXPECT_EQ(scorer.BestAtLeast(a, b, floor), want) << "floor=" << floor;
+    }
+    EXPECT_EQ(scorer.BestAtLeast(a[0], b, 0.5), BruteBest({a[0]}, b, black_box));
+  }
 }
 
 TEST(BestPairScorerTest, ClusterSimilarityIdenticalWithScorerOnAndOff) {
   const std::vector<std::string> corpus = TestCorpus();
   auto simv = MakeSimilarity("hybrid(jaccard_q2)");
-  // The oracle name makes the scorer fall back to simv.Compute per cell.
+  // The oracle declares no family, so the scorer falls back to
+  // simv.Compute per cell.
   const MetricPathSimilarity oracle(simv);
   BestPairScorer on(*simv);
   BestPairScorer off(oracle);

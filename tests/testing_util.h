@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "record/dataset.h"
+#include "sim/metrics.h"
 #include "sim/value.h"
 
 namespace hera {
@@ -80,6 +81,23 @@ inline bool SamePartition(const std::vector<uint32_t>& a,
   }
   return true;
 }
+
+/// A black-box metric that reports a built-in name but scores another
+/// way: the square of q-gram Jaccard. It declares no traits, so every
+/// caller must score it with Compute. A pair it scores >= xi has a
+/// Jaccard >= sqrt(xi) >= xi, so even the join's slackened prefix
+/// filter finds every such pair.
+class SquaredJaccardNamedJaccard : public ValueSimilarity {
+ public:
+  double Compute(const Value& a, const Value& b) const override {
+    const double s = jaccard_.Compute(a, b);
+    return s * s;
+  }
+  std::string Name() const override { return "jaccard_q2"; }
+
+ private:
+  JaccardSimilarity jaccard_{2};
+};
 
 }  // namespace testing_util
 }  // namespace hera
